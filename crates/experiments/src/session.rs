@@ -44,9 +44,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use impact_cache::{AccessSink, CacheConfig, CacheStats, MultiLane};
-use impact_ir::{Program, Terminator};
+use impact_ir::Program;
 use impact_layout::Placement;
-use impact_profile::ExecLimits;
+use impact_profile::{ExecLimits, ProfileMemo};
 use impact_store::{Cid, Store, StoreCounters};
 use impact_support::json::{Json, ToJson};
 use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
@@ -295,6 +295,12 @@ pub struct SimMetrics {
     pub tables: Vec<TableRecord>,
     /// Counters of the attached on-disk store (`None` without one).
     pub store: Option<StoreCounters>,
+    /// Measured profiles the table runners' pipeline re-runs asked the
+    /// session's profile memo for.
+    pub profiles_requested: u64,
+    /// Of those, the ones the memo had to walk (its misses); the rest
+    /// reused a profile an earlier pipeline run had measured.
+    pub profiles_walked: u64,
 }
 
 impl SimMetrics {
@@ -353,6 +359,13 @@ impl SimMetrics {
             self.instructions_replayed,
             rate_label(self.replayed_instrs_per_sec()),
             self.instructions_memo_served,
+        );
+        let _ = writeln!(
+            out,
+            "profile: {} requested by pipeline re-runs, {} walked, {} memo-served",
+            self.profiles_requested,
+            self.profiles_walked,
+            self.profiles_requested.saturating_sub(self.profiles_walked),
         );
         if let Some(store) = &self.store {
             let _ = writeln!(
@@ -476,6 +489,11 @@ impl ToJson for SimMetrics {
             ("instrs_per_sec".into(), self.instrs_per_sec().to_json()),
             ("simulations".into(), self.simulations.to_json()),
             ("tables".into(), self.tables.to_json()),
+            (
+                "profiles_requested".into(),
+                self.profiles_requested.to_json(),
+            ),
+            ("profiles_walked".into(), self.profiles_walked.to_json()),
         ];
         if let Some(store) = &self.store {
             // Spliced flat so dashboards can grep `store_*` directly.
@@ -523,6 +541,9 @@ pub struct SimSession {
     store: Option<Arc<Store>>,
     simulations: Vec<SimRecord>,
     tables: Vec<TableRecord>,
+    /// Measured profiles of the table runners' pipeline re-runs. Lives
+    /// and dies with the session; the serve path never fills it.
+    profiles: ProfileMemo,
 }
 
 impl std::fmt::Debug for SimSession {
@@ -581,6 +602,7 @@ impl SimSession {
             store: None,
             simulations: Vec::new(),
             tables: Vec::new(),
+            profiles: ProfileMemo::new(),
         }
     }
 
@@ -611,6 +633,17 @@ impl SimSession {
     #[must_use]
     pub fn store(&self) -> Option<&Arc<Store>> {
         self.store.as_ref()
+    }
+
+    /// The session's profile memo: plan phases that re-run the placement
+    /// pipeline pass it to [`Pipeline::run_memoized`] so that every
+    /// distinct `(program, runs, base seed, limits)` profile is walked
+    /// once per session.
+    ///
+    /// [`Pipeline::run_memoized`]: impact_layout::Pipeline::run_memoized
+    #[must_use]
+    pub fn profiles(&self) -> &ProfileMemo {
+        &self.profiles
     }
 
     /// The worker-thread cap used by [`SimSession::execute`] (and
@@ -1040,6 +1073,8 @@ impl SimSession {
             store: self.store.as_ref().map(|s| s.counters()),
             simulations: self.simulations.clone(),
             tables: self.tables.clone(),
+            profiles_requested: self.profiles.requested(),
+            profiles_walked: self.profiles.walked(),
         }
     }
 }
@@ -1182,26 +1217,21 @@ impl SharedSimSession {
 
 /// Structural fingerprint of an evaluation-trace key.
 ///
-/// Covers everything the trace depends on: program shape (block sizes,
-/// terminators, branch biases), the placement's byte addresses, the
-/// input seed, and the execution limits. Freshly constructed placements
-/// (code scaling, `MIN_PROB` sweeps, ablation ladders) therefore get
-/// distinct fingerprints unless they are genuinely identical — and key
-/// identity is always confirmed by full structural equality, so a hash
-/// collision can never alias two different traces.
+/// Covers everything the trace depends on: program shape
+/// ([`Program::hash_structure`]: block sizes, terminators, branch
+/// biases), the placement's byte addresses, the input seed, and the
+/// execution limits. Freshly constructed placements (code scaling,
+/// `MIN_PROB` sweeps, ablation ladders) therefore get distinct
+/// fingerprints unless they are genuinely identical — and key identity
+/// is always confirmed by full structural equality, so a hash collision
+/// can never alias two different traces.
 #[must_use]
 pub fn fingerprint(program: &Program, placement: &Placement, seed: u64, limits: ExecLimits) -> u64 {
     // DefaultHasher::new() uses fixed keys: deterministic per process.
     let mut h = DefaultHasher::new();
-    program.function_count().hash(&mut h);
-    program.entry().index().hash(&mut h);
+    program.hash_structure(&mut h);
     for (fid, func) in program.functions() {
-        func.name().hash(&mut h);
-        func.entry().index().hash(&mut h);
-        func.block_count().hash(&mut h);
-        for (bid, block) in func.blocks() {
-            block.instr_count().hash(&mut h);
-            hash_terminator(block.terminator(), &mut h);
+        for bid in func.block_ids() {
             placement.try_addr(fid, bid).hash(&mut h);
         }
     }
@@ -1210,40 +1240,6 @@ pub fn fingerprint(program: &Program, placement: &Placement, seed: u64, limits: 
     seed.hash(&mut h);
     limits.hash(&mut h);
     h.finish()
-}
-
-fn hash_terminator(t: &Terminator, h: &mut impl Hasher) {
-    match t {
-        Terminator::Jump { target } => {
-            0u8.hash(h);
-            target.index().hash(h);
-        }
-        Terminator::Branch {
-            taken,
-            not_taken,
-            bias,
-        } => {
-            1u8.hash(h);
-            taken.index().hash(h);
-            not_taken.index().hash(h);
-            bias.base.to_bits().hash(h);
-            bias.input_spread.to_bits().hash(h);
-        }
-        Terminator::Switch { targets } => {
-            2u8.hash(h);
-            for (b, w) in targets {
-                b.index().hash(h);
-                w.hash(h);
-            }
-        }
-        Terminator::Call { callee, ret_to } => {
-            3u8.hash(h);
-            callee.index().hash(h);
-            ret_to.index().hash(h);
-        }
-        Terminator::Return => 4u8.hash(h),
-        Terminator::Exit => 5u8.hash(h),
-    }
 }
 
 #[cfg(test)]

@@ -85,17 +85,21 @@ pub struct Plan {
 /// threads; every ladder rung becomes its own trace key, while the
 /// natural direct-mapped and fully-associative demands share one key
 /// (and one stream) through the config union. The prefetcher and victim
-/// cache ride the natural-layout stream as sinks.
+/// cache ride the natural-layout stream as sinks. The inline-disabled
+/// run profiles through the session's profile memo: it needs only the
+/// original program's profile, which an earlier table's run has usually
+/// walked already.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let dm = [CacheConfig::direct_mapped(CACHE_BYTES, BLOCK_BYTES)];
     let fa = [CacheConfig::direct_mapped(CACHE_BYTES, BLOCK_BYTES)
         .with_associativity(Associativity::Full)];
+    let profiles = session.profiles();
     let placements = impact_support::parallel_map(session.jobs(), prepared.iter().collect(), |p| {
         let no_inline_cfg = PipelineConfig {
             inline: None,
             ..pipeline_config(&p.workload, &p.budget)
         };
-        let ni = Pipeline::new(no_inline_cfg).run(&p.baseline_program);
+        let ni = Pipeline::new(no_inline_cfg).run_memoized(&p.baseline_program, profiles);
         let ph = impact_layout::ph::place(&p.result.program, &p.result.profile);
         (ni, ph)
     });

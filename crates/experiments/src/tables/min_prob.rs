@@ -61,18 +61,25 @@ pub struct Plan {
 /// per re-optimized placement. Every threshold yields its own placements
 /// and therefore its own trace keys (0.7 reproduces the standard
 /// pipeline and coalesces with the headline tables in the memo).
+///
+/// The threshold only steers trace selection, after profiling and
+/// inlining, so all five runs of a benchmark share one profile/inline
+/// prefix: the session's profile memo walks it once (or not at all,
+/// when an earlier table's run already walked it) and the other runs
+/// only select traces and lay out.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let cache = [CacheConfig::direct_mapped(2048, 64)];
     let work: Vec<(f64, &Prepared)> = THRESHOLDS
         .iter()
         .flat_map(|&t| prepared.iter().map(move |p| (t, p)))
         .collect();
+    let profiles = session.profiles();
     let results = impact_support::parallel_map(session.jobs(), work, |(min_prob, p)| {
         let config = PipelineConfig {
             min_prob,
             ..pipeline_config(&p.workload, &p.budget)
         };
-        Pipeline::new(config).run(&p.baseline_program)
+        Pipeline::new(config).run_memoized(&p.baseline_program, profiles)
     });
     let rows = THRESHOLDS
         .iter()

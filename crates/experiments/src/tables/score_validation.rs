@@ -23,7 +23,7 @@ use impact_ir::Program;
 use impact_layout::baseline;
 use impact_layout::pipeline::{Pipeline, PipelineConfig};
 use impact_layout::Placement;
-use impact_profile::Profile;
+use impact_profile::{Profile, ProfileMemo};
 
 use crate::fmt;
 use crate::prepare::{pipeline_config, Prepared};
@@ -89,8 +89,12 @@ impl std::fmt::Debug for Plan {
 /// The layout variants of one prepared benchmark. The first four share
 /// the post-inline program (only the placement changes); the last
 /// re-runs the pipeline with inlining disabled, so both the program and
-/// the placement differ.
-fn variants(p: &Prepared) -> Vec<(&'static str, Program, Profile, Placement)> {
+/// the placement differ. That run profiles through `profiles`, the
+/// session's profile memo.
+fn variants(
+    p: &Prepared,
+    profiles: &ProfileMemo,
+) -> Vec<(&'static str, Program, Profile, Placement)> {
     let program = &p.result.program;
     let profile = &p.result.profile;
     let mut out = vec![
@@ -123,7 +127,7 @@ fn variants(p: &Prepared) -> Vec<(&'static str, Program, Profile, Placement)> {
         inline: None,
         ..pipeline_config(&p.workload, &p.budget)
     };
-    let no_inline = Pipeline::new(config).run(&p.workload.program);
+    let no_inline = Pipeline::new(config).run_memoized(&p.workload.program, profiles);
     out.push((
         "inline-off",
         no_inline.program,
@@ -140,7 +144,7 @@ pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let vs = variants(p)
+            let vs = variants(p, session.profiles())
                 .into_iter()
                 .map(|(name, program, profile, placement)| {
                     let handle = session.request(

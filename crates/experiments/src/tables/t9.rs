@@ -40,16 +40,23 @@ pub struct Plan {
 /// fingerprint covers block sizes and placement addresses), so the
 /// session cannot conflate densities; the 1.0× run reproduces the
 /// standard optimized placement and is served from the shared memo.
+///
+/// Profiles go through the session's profile memo. Scaled programs are
+/// distinct keys there too, but the 1.0× run profiles the unscaled
+/// program under the standard configuration, so the later tables that
+/// re-run the pipeline on it (`ablation`, `minprob`, `score`) reuse its
+/// walks.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let config = [CacheConfig::direct_mapped(2048, 64).with_fill(FillPolicy::Partial)];
     let work: Vec<(&Prepared, f64)> = prepared
         .iter()
         .flat_map(|p| FACTORS.iter().map(move |&f| (p, f)))
         .collect();
+    let profiles = session.profiles();
     let results = impact_support::parallel_map(session.jobs(), work, |(p, factor)| {
         let scaled = scale_code(&p.baseline_program, factor);
         let pc = pipeline_config(&p.workload, &p.budget);
-        Pipeline::new(pc).run(&scaled)
+        Pipeline::new(pc).run_memoized(&scaled, profiles)
     });
     let rows = prepared
         .iter()

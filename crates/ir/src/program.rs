@@ -1,5 +1,7 @@
 //! Functions and whole programs.
 
+use std::hash::{Hash, Hasher};
+
 use crate::{BasicBlock, BlockId, CallGraph, FuncId, Terminator, ValidateError};
 
 /// A function: a control-flow graph of basic blocks with one entry block.
@@ -201,6 +203,29 @@ impl Program {
             .sum()
     }
 
+    /// Feeds the program's shape into `state`: function names and entries,
+    /// every block's instruction count, and every terminator with its
+    /// targets, branch biases and switch weights — everything a walk of
+    /// the program depends on.
+    ///
+    /// This is the one structural hash behind every in-memory key over
+    /// programs (evaluation-trace fingerprints, the profile memo). Equal
+    /// programs hash equally; unequal ones almost always differ, but the
+    /// hash is an accelerator only — keys confirm hits by full equality.
+    pub fn hash_structure<H: Hasher>(&self, state: &mut H) {
+        self.funcs.len().hash(state);
+        self.entry.index().hash(state);
+        for func in &self.funcs {
+            func.name.hash(state);
+            func.entry.index().hash(state);
+            func.blocks.len().hash(state);
+            for block in &func.blocks {
+                block.instr_count().hash(state);
+                hash_terminator(block.terminator(), state);
+            }
+        }
+    }
+
     /// Derives the static call graph (one [`CallSite`] per `Call`
     /// terminator).
     ///
@@ -295,6 +320,42 @@ impl Program {
     }
 }
 
+/// The terminator part of [`Program::hash_structure`]: a variant tag,
+/// then the variant's fields.
+fn hash_terminator<H: Hasher>(t: &Terminator, h: &mut H) {
+    match t {
+        Terminator::Jump { target } => {
+            0u8.hash(h);
+            target.index().hash(h);
+        }
+        Terminator::Branch {
+            taken,
+            not_taken,
+            bias,
+        } => {
+            1u8.hash(h);
+            taken.index().hash(h);
+            not_taken.index().hash(h);
+            bias.base.to_bits().hash(h);
+            bias.input_spread.to_bits().hash(h);
+        }
+        Terminator::Switch { targets } => {
+            2u8.hash(h);
+            for (b, w) in targets {
+                b.index().hash(h);
+                w.hash(h);
+            }
+        }
+        Terminator::Call { callee, ret_to } => {
+            3u8.hash(h);
+            callee.index().hash(h);
+            ret_to.index().hash(h);
+        }
+        Terminator::Return => 4u8.hash(h),
+        Terminator::Exit => 5u8.hash(h),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::{BranchBias, Instr, ProgramBuilder, Terminator};
@@ -338,6 +399,30 @@ mod tests {
         assert_eq!(p.total_bytes(), 14 * 4);
         let main = p.function(p.entry());
         assert_eq!(main.size_bytes(), 8 * 4);
+    }
+
+    #[test]
+    fn structural_hash_follows_shape() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |p: &Program| {
+            let mut h = DefaultHasher::new();
+            p.hash_structure(&mut h);
+            h.finish()
+        };
+        let p = sample();
+        assert_eq!(hash(&p), hash(&sample()));
+        let mut biased = sample();
+        let main = biased.entry.index();
+        biased.funcs[main].blocks[2].set_terminator(Terminator::branch(
+            BlockId::new(1),
+            BlockId::new(3),
+            BranchBias::fixed(0.7),
+        ));
+        assert_ne!(hash(&p), hash(&biased));
+        let mut renamed = sample();
+        let helper = renamed.function_by_name("helper").unwrap().index();
+        renamed.funcs[helper].name = "helper2".to_owned();
+        assert_ne!(hash(&p), hash(&renamed));
     }
 
     #[test]

@@ -57,6 +57,19 @@ pub struct InlinePass {
     pub sites_inlined: usize,
 }
 
+/// Outcome of [`Inliner::run_from_profile`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fixpoint {
+    /// The transformed program.
+    pub program: Program,
+    /// Total call sites inlined over all passes.
+    pub sites_inlined: usize,
+    /// Profile of [`Fixpoint::program`] under the passes' source, when
+    /// the passes measured it (`None` when the last pass still inlined
+    /// something, so the output was never profiled).
+    pub profile: Option<Profile>,
+}
+
 /// The function inline expander.
 #[derive(Debug, Clone, Default)]
 pub struct Inliner {
@@ -93,19 +106,54 @@ impl Inliner {
         program: &Program,
         source: &dyn ProfileSource,
     ) -> (Program, usize) {
+        let fixpoint = self.passes(program, None, source);
+        (fixpoint.program, fixpoint.sites_inlined)
+    }
+
+    /// [`Inliner::run_to_fixpoint`] for a caller that already holds
+    /// `profile`, the profile of `program` under `source`: the first pass
+    /// uses it instead of profiling `program` again.
+    ///
+    /// The result carries the profile of the returned program whenever
+    /// the passes measured it on the way — the last pass inlined nothing
+    /// (its input is the output), or no pass ran — so the caller does not
+    /// profile the same program a second time.
+    #[must_use]
+    pub fn run_from_profile(
+        &self,
+        program: &Program,
+        profile: Profile,
+        source: &dyn ProfileSource,
+    ) -> Fixpoint {
+        self.passes(program, Some(profile), source)
+    }
+
+    /// The profile–inline passes; `known` is the profile of `program`,
+    /// if the caller has it.
+    fn passes(
+        &self,
+        program: &Program,
+        mut known: Option<Profile>,
+        source: &dyn ProfileSource,
+    ) -> Fixpoint {
         let original_bytes = program.total_bytes();
         let mut current = program.clone();
         let mut total_sites = 0;
         for _ in 0..self.config.max_passes {
-            let profile = source.profile(&current);
+            let profile = known.take().unwrap_or_else(|| source.profile(&current));
             let pass = self.expand(&current, &profile, original_bytes);
             total_sites += pass.sites_inlined;
             current = pass.program;
             if pass.sites_inlined == 0 {
+                known = Some(profile);
                 break;
             }
         }
-        (current, total_sites)
+        Fixpoint {
+            program: current,
+            sites_inlined: total_sites,
+            profile: known,
+        }
     }
 
     /// One inlining pass over `program` using `profile` for site weights.

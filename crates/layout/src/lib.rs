@@ -60,7 +60,7 @@ pub mod trace_select;
 
 pub use function_layout::FunctionLayout;
 pub use global_layout::{GlobalOrder, OrderError};
-pub use inline::{InlineConfig, Inliner};
+pub use inline::{Fixpoint, InlineConfig, Inliner};
 pub use materialize::MaterializeError;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineResult};
 pub use placement::Placement;

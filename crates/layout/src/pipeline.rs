@@ -3,7 +3,7 @@
 use std::fmt;
 
 use impact_ir::{Program, ValidateError};
-use impact_profile::{ExecLimits, Profile, ProfileSource, Profiler};
+use impact_profile::{ExecLimits, Profile, ProfileMemo, ProfileSource, Profiler};
 
 use crate::function_layout::FunctionLayout;
 use crate::global_layout::GlobalOrder;
@@ -27,6 +27,22 @@ pub struct PipelineConfig {
     pub profile_base_seed: u64,
     /// Per-run execution limits for profiling.
     pub limits: ExecLimits,
+}
+
+impl PipelineConfig {
+    /// The measured profiler these settings describe (`profile_runs`
+    /// runs from `profile_base_seed` under `limits`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile_runs` is zero.
+    #[must_use]
+    pub fn profiler(&self) -> Profiler {
+        Profiler::new()
+            .runs(self.profile_runs)
+            .base_seed(self.profile_base_seed)
+            .limits(self.limits)
+    }
 }
 
 impl Default for PipelineConfig {
@@ -85,11 +101,12 @@ pub enum Checkpoint<'a> {
         profile: &'a Profile,
     },
     /// After Step 2: inline expansion ran (or was skipped) and the
-    /// transformed program has been re-profiled.
+    /// transformed program's profile is known.
     Inlined {
         /// The (possibly) inlined program.
         program: &'a Program,
-        /// Fresh profile of that program.
+        /// Profile of that program (with inlining off, the Step 1
+        /// profile).
         profile: &'a Profile,
     },
     /// After Step 3: traces have been selected on the final program.
@@ -269,11 +286,17 @@ impl Pipeline {
         program: &Program,
         observer: &mut dyn PipelineObserver,
     ) -> PipelineResult {
-        let profiler = Profiler::new()
-            .runs(self.config.profile_runs)
-            .base_seed(self.config.profile_base_seed)
-            .limits(self.config.limits);
-        self.run_observed_with_source(program, &profiler, observer)
+        self.run_observed_with_source(program, &self.config.profiler(), observer)
+    }
+
+    /// [`Pipeline::run`] with the configured measured profiler's walks
+    /// going through `memo`: every profile an earlier run through the
+    /// same memo already measured (same program, runs, seed and limits)
+    /// is reused instead of walked again. The result equals
+    /// [`Pipeline::run`]'s.
+    #[must_use]
+    pub fn run_memoized(&self, program: &Program, memo: &ProfileMemo) -> PipelineResult {
+        self.run_with_source(program, &memo.source(self.config.profiler()))
     }
 
     /// [`Pipeline::run_observed`] generalized over the profile producer.
@@ -291,15 +314,26 @@ impl Pipeline {
             profile: &pre_inline_profile,
         });
 
-        // Step 2: function inline expansion (re-profiling between passes).
-        let inlined = match &self.config.inline {
-            Some(cfg) => Inliner::new(*cfg).run_to_fixpoint(program, source).0,
-            None => program.clone(),
+        // Step 2: function inline expansion (re-profiling between
+        // passes). Layout decisions must see weights for the cloned
+        // blocks, so the transformed program needs its own profile; each
+        // distinct program is profiled once — the Step 1 profile feeds
+        // the first pass, and the fixpoint pass's profile (or, with
+        // inlining off, the Step 1 profile) describes the final program.
+        let (inlined, profile) = match &self.config.inline {
+            Some(cfg) => {
+                let fixpoint = Inliner::new(*cfg).run_from_profile(
+                    program,
+                    pre_inline_profile.clone(),
+                    source,
+                );
+                let profile = fixpoint
+                    .profile
+                    .unwrap_or_else(|| source.profile(&fixpoint.program));
+                (fixpoint.program, profile)
+            }
+            None => (program.clone(), pre_inline_profile.clone()),
         };
-
-        // Re-profile the transformed program: layout decisions must see
-        // weights for the cloned blocks.
-        let profile = source.profile(&inlined);
         observer.checkpoint(&Checkpoint::Inlined {
             program: &inlined,
             profile: &profile,

@@ -9,7 +9,8 @@
 //! stochastic behavior model, and an "input" is a seed. The
 //! [`walk::Walker`] interprets the program under a seed,
 //! emitting execution events; the [`Profiler`] runs it over several seeds
-//! and accumulates a [`Profile`].
+//! and accumulates a [`Profile`]. A [`ProfileMemo`] walks each distinct
+//! `(program, runs, base seed, limits)` profile once and serves repeats.
 //!
 //! # Example
 //!
@@ -37,8 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod memo;
 mod profiler;
 pub mod walk;
 
+pub use memo::{MemoizedProfiler, ProfileMemo};
 pub use profiler::{FunctionProfile, Profile, ProfileSource, Profiler};
 pub use walk::{ExecLimits, ExecSummary, ExecVisitor, Transfer, TransferKind, Walker};

@@ -266,7 +266,7 @@ impl ProfileSource for Profiler {
 /// let profile = Profiler::new().runs(2).profile(&workload.program);
 /// assert_eq!(profile.func_weight(workload.program.entry()), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Profiler {
     runs: u32,
     base_seed: u64,

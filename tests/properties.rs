@@ -1,10 +1,13 @@
 //! Property-based tests over random programs and random access traces.
 
+use std::cell::RefCell;
+
+use impact::analyze::verify_placement;
 use impact::cache::{AccessSink, Associativity, Cache, CacheConfig, FillPolicy};
 use impact::ir::{BlockId, BranchBias, FuncId, Instr, Program, ProgramBuilder, Terminator};
 use impact::layout::pipeline::{Pipeline, PipelineConfig};
 use impact::layout::{baseline, TraceSelector};
-use impact::profile::{ExecLimits, Profiler, Walker};
+use impact::profile::{ExecLimits, Profile, ProfileSource, Profiler, Walker};
 use impact::trace::TraceGenerator;
 use impact_support::check::forall;
 use impact_support::Rng;
@@ -147,17 +150,91 @@ fn walker_is_deterministic() {
 /// The full pipeline yields a valid placement; without inlining it
 /// preserves the program and its byte count exactly.
 #[test]
-#[allow(deprecated)]
 fn pipeline_placement_is_always_valid() {
     forall(48, gen_program, |program| {
         let no_inline = tiny_pipeline(false).run(program);
-        assert!(no_inline.placement.is_valid_for(&no_inline.program));
+        let report = verify_placement(&no_inline.program, &no_inline.placement);
+        assert!(report.is_clean(), "{}", report.render());
         assert_eq!(no_inline.program.total_bytes(), program.total_bytes());
 
         let inlined = tiny_pipeline(true).run(program);
-        assert!(inlined.placement.is_valid_for(&inlined.program));
+        let report = verify_placement(&inlined.program, &inlined.placement);
+        assert!(report.is_clean(), "{}", report.render());
         assert!(inlined.program.total_bytes() >= program.total_bytes());
     });
+}
+
+/// A measured profiler that records every program it is asked to walk.
+struct CountingSource {
+    profiler: Profiler,
+    walked: RefCell<Vec<Program>>,
+}
+
+impl ProfileSource for CountingSource {
+    fn profile(&self, program: &Program) -> Profile {
+        self.walked.borrow_mut().push(program.clone());
+        self.profiler.profile(program)
+    }
+}
+
+/// Runs `pipeline` through a [`CountingSource`] and checks that every
+/// distinct program was profiled exactly once, that the result equals a
+/// plain run, and that its profiles are fresh profiles of its programs.
+/// Returns how many programs were profiled.
+fn assert_walks_once(pipeline: &Pipeline, program: &Program) -> usize {
+    let profiler = pipeline.config().profiler();
+    let source = CountingSource {
+        profiler: profiler.clone(),
+        walked: RefCell::new(Vec::new()),
+    };
+    let result = pipeline.run_with_source(program, &source);
+    let walked = source.walked.into_inner();
+    for (i, a) in walked.iter().enumerate() {
+        assert!(
+            walked[i + 1..].iter().all(|b| a != b),
+            "program #{i} of {} was profiled more than once",
+            walked.len()
+        );
+    }
+    assert!(walked.contains(program) && walked.contains(&result.program));
+    assert_eq!(result.profile, profiler.profile(&result.program));
+    assert_eq!(result.pre_inline_profile, profiler.profile(program));
+
+    let plain = pipeline.run(program);
+    assert_eq!(result.program, plain.program);
+    assert_eq!(result.placement, plain.placement);
+    assert_eq!(result.profile, plain.profile);
+    walked.len()
+}
+
+/// The pipeline profiles each distinct program once, with inlining on
+/// and off: Step 1's profile feeds the first inline pass, the fixpoint
+/// pass's profile is the final program's, and with inlining off Step 1's
+/// profile is reused.
+#[test]
+fn pipeline_profiles_each_program_once() {
+    forall(48, gen_program, |program| {
+        assert_eq!(assert_walks_once(&tiny_pipeline(false), program), 1);
+        assert_walks_once(&tiny_pipeline(true), program);
+    });
+    // A real workload whose inliner makes progress: the input and every
+    // pass's output are walked once each.
+    let make = impact::workloads::by_name("make").unwrap().program;
+    let config = PipelineConfig {
+        profile_runs: 2,
+        limits: ExecLimits {
+            max_instructions: 100_000,
+            max_call_depth: 512,
+        },
+        ..PipelineConfig::default()
+    };
+    let walks = assert_walks_once(&Pipeline::new(config.clone()), &make);
+    assert!(walks >= 2, "make must inline something ({walks} walks)");
+    let no_inline = PipelineConfig {
+        inline: None,
+        ..config
+    };
+    assert_eq!(assert_walks_once(&Pipeline::new(no_inline), &make), 1);
 }
 
 /// Trace selection always partitions each function's blocks.
