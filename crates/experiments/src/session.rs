@@ -40,7 +40,7 @@ use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use impact_cache::{AccessSink, CacheConfig, CacheStats, MultiLane};
@@ -152,8 +152,12 @@ struct KeyEntry {
     /// Captured run-buffer artifact of this key's trace: recorded on
     /// the first (interpreter) execution, replayed for every later
     /// demand. `None` before the first execution, or when storing it
-    /// would exceed the session artifact budget.
-    artifact: Option<RunBuffer>,
+    /// would exceed the session artifact budget. Shared so a delivery
+    /// can replay it without the session borrowed.
+    artifact: Option<Arc<RunBuffer>>,
+    /// Set while a [`SharedSimSession`] delivery of this key runs outside
+    /// the lock; other evaluations of the key wait instead of walking it.
+    in_flight: bool,
 }
 
 impl KeyEntry {
@@ -162,6 +166,50 @@ impl KeyEntry {
             || self.streamed_sinks < self.sinks.len()
             || self.instructions.is_none()
     }
+
+    /// Whether every result `handle` redeems has been filed.
+    fn serves(&self, handle: &SimHandle) -> bool {
+        self.instructions.is_some() && handle.slots.iter().all(|&s| s < self.simulated)
+    }
+}
+
+/// One key's pending demands, taken out of the session so they can be
+/// delivered with the session unborrowed: fanned across threads by
+/// [`SimSession::execute`], or outside the lock by
+/// [`SharedSimSession::evaluate`].
+struct Work {
+    key: usize,
+    seed: u64,
+    limits: ExecLimits,
+    cid: Option<Cid>,
+    /// The key's not-yet-simulated configs.
+    configs: Vec<CacheConfig>,
+    /// The key's not-yet-streamed sinks.
+    sinks: Vec<Box<dyn SessionSink>>,
+    /// Trace length, when an earlier delivery learned it.
+    instructions: Option<u64>,
+    /// The key's in-memory artifact, replayed instead of a walk.
+    artifact: Option<Arc<RunBuffer>>,
+    /// Whether the artifact budget has room for a new artifact: a walk
+    /// captures one, and a store-backed key first tries to reload one.
+    capture: bool,
+}
+
+/// The outcome of delivering one [`Work`], filed back by
+/// [`SimSession::file`].
+struct Delivered {
+    key: usize,
+    /// Statistics of the work's configs, in order.
+    stats: Vec<CacheStats>,
+    sinks: Vec<Box<dyn SessionSink>>,
+    instructions: u64,
+    nanos: u64,
+    mode: SimMode,
+    /// An artifact this delivery captured or reloaded from the store,
+    /// kept if the session budget still has room for it.
+    artifact: Option<Arc<RunBuffer>>,
+    /// Whether `artifact` was reloaded from the store.
+    loaded: bool,
 }
 
 /// How one [`SimRecord`]'s instructions were delivered to the sinks.
@@ -286,8 +334,14 @@ pub struct SimMetrics {
     pub artifact_bytes: u64,
     /// Total nanoseconds across streams (summed over threads).
     pub sim_nanos: u64,
-    /// Wall-clock nanoseconds inside `execute`.
+    /// Wall-clock nanoseconds spent delivering: each `execute` call
+    /// that had work, plus each shared evaluation's delivery. Shared
+    /// evaluations of distinct keys overlap, so the sum can exceed real
+    /// time.
     pub wall_nanos: u64,
+    /// Shared evaluations that found their key already in flight and
+    /// waited for that delivery instead of walking the trace again.
+    pub inflight_waits: u64,
     /// One record per trace stream.
     pub simulations: Vec<SimRecord>,
     /// One record per table run through the session (filled by the
@@ -486,6 +540,7 @@ impl ToJson for SimMetrics {
             ("artifact_bytes".into(), self.artifact_bytes.to_json()),
             ("sim_nanos".into(), self.sim_nanos.to_json()),
             ("wall_nanos".into(), self.wall_nanos.to_json()),
+            ("inflight_waits".into(), self.inflight_waits.to_json()),
             ("instrs_per_sec".into(), self.instrs_per_sec().to_json()),
             ("simulations".into(), self.simulations.to_json()),
             ("tables".into(), self.tables.to_json()),
@@ -531,6 +586,7 @@ pub struct SimSession {
     disk_nanos: u64,
     sim_nanos: u64,
     wall_nanos: u64,
+    inflight_waits: u64,
     /// Bytes currently held by stored artifacts.
     artifact_bytes: usize,
     /// Cap on artifact memory; 0 disables capture.
@@ -597,6 +653,7 @@ impl SimSession {
             disk_nanos: 0,
             sim_nanos: 0,
             wall_nanos: 0,
+            inflight_waits: 0,
             artifact_bytes: 0,
             artifact_budget: DEFAULT_ARTIFACT_BUDGET,
             store: None,
@@ -670,6 +727,11 @@ impl SimSession {
         configs: &[CacheConfig],
     ) -> SimHandle {
         let key = self.intern(program, placement, seed, limits);
+        self.demand(key, configs)
+    }
+
+    /// Adds `configs` to interned key `key`'s config union.
+    fn demand(&mut self, key: usize, configs: &[CacheConfig]) -> SimHandle {
         self.requests += 1;
         self.configs_requested += configs.len() as u64;
         let entry = &mut self.keys[key];
@@ -730,6 +792,23 @@ impl SimSession {
         limits: ExecLimits,
     ) -> usize {
         let fp = fingerprint(program, placement, seed, limits);
+        self.intern_keyed(program, placement, seed, limits, fp, || {
+            persist::trace_key(program, placement, seed, limits)
+        })
+    }
+
+    /// Interns the key with fingerprint `fp`, returning its index. `cid`
+    /// yields the persistent key; it is called only for a new key, and
+    /// only when a store is attached.
+    fn intern_keyed(
+        &mut self,
+        program: &Program,
+        placement: &Placement,
+        seed: u64,
+        limits: ExecLimits,
+        fp: u64,
+        cid: impl FnOnce() -> Cid,
+    ) -> usize {
         if let Some(candidates) = self.by_fp.get(&fp) {
             for &i in candidates {
                 let k = &self.keys[i];
@@ -746,19 +825,13 @@ impl SimSession {
             }
         }
         let i = self.keys.len();
-        // The persistent key costs a SHA-256 over the program structure;
-        // only paid once per interned key, and only when a store exists.
-        let cid = self
-            .store
-            .is_some()
-            .then(|| persist::trace_key(program, placement, seed, limits));
         self.keys.push(KeyEntry {
             program: program.clone(),
             placement: placement.clone(),
             seed,
             limits,
             fingerprint: fp,
-            cid,
+            cid: self.store.is_some().then(cid),
             configs: Vec::new(),
             stats: Vec::new(),
             simulated: 0,
@@ -766,6 +839,7 @@ impl SimSession {
             streamed_sinks: 0,
             instructions: None,
             artifact: None,
+            in_flight: false,
         });
         self.by_fp.entry(fp).or_default().push(i);
         i
@@ -776,202 +850,140 @@ impl SimSession {
     /// deterministic (insertion) order regardless of thread scheduling;
     /// with one job this is a plain serial loop.
     ///
-    /// A key's **first** execution walks the CFG interpreter, capturing
-    /// the run stream into a [`RunBuffer`] artifact while it drives the
-    /// lane bank. Keys that gained configs or sinks *after* already
-    /// being executed **replay** their artifact (counted as
+    /// With a store attached, a key whose every pending config result is
+    /// stored is answered from disk without any trace stream (counted as
+    /// [`SimMetrics::disk_served`]), and a key that must stream reloads
+    /// its persisted artifact so the stream is a replay, even in a
+    /// process that never executed the key.
+    ///
+    /// Otherwise a key's **first** execution walks the CFG interpreter,
+    /// capturing the run stream into a [`RunBuffer`] artifact while it
+    /// drives the lane bank. Keys that gained configs or sinks *after*
+    /// already being executed **replay** their artifact (counted as
     /// [`SimMetrics::replays`]) — bit-identical to a re-walk, at memcpy
     /// speed. Only when the artifact budget kept a buffer from being
     /// stored does a late demand re-walk the interpreter (counted as
     /// [`SimMetrics::restreams`]).
     pub fn execute(&mut self) {
-        // One pending key's mutable pieces: index, a fresh lane bank
-        // over its not-yet-simulated configs, its not-yet-streamed
-        // sinks, and whether a capture should be recorded.
-        type PendingWork = (usize, MultiLane, Vec<Box<dyn SessionSink>>, bool);
-
         let wall = Instant::now();
-        // Phase 1: pull the mutable pieces (fresh banks, pending sinks)
-        // out of each pending key. With a store attached, each pending
-        // key first tries the disk: a key whose every pending config
-        // result is already stored is answered without any trace stream,
-        // and a key that must stream anyway reloads its persisted
-        // artifact so the stream is a replay instead of an interpreter
-        // walk — even in a process that never executed the key.
-        let mut taken: Vec<PendingWork> = Vec::new();
-        for (i, k) in self.keys.iter_mut().enumerate() {
-            if !k.pending() {
-                continue;
+        let mut taken = Vec::new();
+        for i in 0..self.keys.len() {
+            if self.keys[i].pending() {
+                taken.push(self.take(i));
             }
-            if let Some(store) = &self.store {
-                let t0 = Instant::now();
-                if let Some(served) = disk_serve(store, k) {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    self.disk_served += 1;
-                    self.instructions_disk_served += served.instructions;
-                    self.disk_nanos += nanos;
-                    if served.first_delivery {
-                        self.instructions += served.instructions;
-                    }
-                    self.simulations.push(SimRecord {
-                        fingerprint: format!("{:016x}", k.fingerprint),
-                        seed: k.seed,
-                        configs: served.configs,
-                        sinks: 0,
-                        instructions: served.instructions,
-                        nanos,
-                        mode: SimMode::DiskServed,
-                    });
-                    continue;
-                }
-                if k.artifact.is_none() && self.artifact_bytes < self.artifact_budget {
-                    if let Some(cid) = &k.cid {
-                        let loaded = store
-                            .get(&persist::artifact_cid(cid))
-                            .and_then(|payload| persist::decode_artifact(&payload));
-                        if let Some(buf) = loaded {
-                            let bytes = buf.bytes();
-                            if self.artifact_bytes + bytes <= self.artifact_budget {
-                                self.artifact_bytes += bytes;
-                                self.artifacts_loaded += 1;
-                                k.artifact = Some(buf);
-                            }
-                        }
-                    }
-                }
-            }
-            let bank = MultiLane::new(k.configs[k.simulated..].iter().copied());
-            let sinks: Vec<Box<dyn SessionSink>> = k.sinks[k.streamed_sinks..]
-                .iter_mut()
-                .map(|s| s.take().expect("pending sinks cannot have been taken"))
-                .collect();
-            // Capture unless this key already holds an artifact or the
-            // budget is exhausted (the precise size check happens at
-            // filing time; this avoids recording buffers that could
-            // never be stored).
-            let capture = k.artifact.is_none() && self.artifact_bytes < self.artifact_budget;
-            taken.push((i, bank, sinks, capture));
         }
         if taken.is_empty() {
             return;
         }
-
-        // Phase 2: deliver each pending key's trace once, in parallel —
-        // replaying its stored artifact when one exists, walking the
-        // interpreter (under a capture tee) otherwise. Work items carry
-        // shared references to their key's program/placement/artifact so
-        // the closure never touches the (non-`Sync`) sink storage.
+        // Work items borrow their key's program and placement, never the
+        // (non-`Sync`) sink storage.
         let work: Vec<_> = taken
             .into_iter()
-            .map(|(i, bank, sinks, capture)| {
-                let k = &self.keys[i];
-                let gen_inputs = (&k.program, &k.placement, k.seed, k.limits);
-                (i, gen_inputs, k.artifact.as_ref(), bank, sinks, capture)
+            .map(|w| {
+                let k = &self.keys[w.key];
+                (w, &k.program, &k.placement)
             })
             .collect();
-        let results = impact_support::parallel_map(
-            self.jobs,
-            work,
-            |(i, (program, placement, seed, limits), artifact, mut bank, mut sinks, capture)| {
-                let t0 = Instant::now();
-                let mut fan = Fanout {
-                    bank: &mut bank,
-                    sinks: &mut sinks,
-                };
-                let (instructions, captured, mode) = match artifact {
-                    Some(buf) => {
-                        buf.replay(&mut fan);
-                        (buf.instructions(), None, SimMode::Replayed)
-                    }
-                    None if capture => {
-                        let gen = TraceGenerator::new(program, placement).with_limits(limits);
-                        let mut buf = RunBuffer::new();
-                        let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, &mut fan));
-                        buf.shrink_to_fit();
-                        (summary.instructions, Some(buf), SimMode::Interpreted)
-                    }
-                    None => {
-                        let gen = TraceGenerator::new(program, placement).with_limits(limits);
-                        let summary = gen.stream(seed, &mut fan);
-                        (summary.instructions, None, SimMode::Interpreted)
-                    }
-                };
-                let nanos = t0.elapsed().as_nanos() as u64;
-                (i, bank, sinks, instructions, nanos, captured, mode)
-            },
-        );
-
-        // Phase 3: file results back, serially, in key order.
-        let store = self.store.clone();
-        for (i, mut bank, sinks, instructions, nanos, captured, mode) in results {
-            let k = &mut self.keys[i];
-            match mode {
-                SimMode::Interpreted => {
-                    self.traces_streamed += 1;
-                    self.instructions_interpreted += instructions;
-                    self.interp_nanos += nanos;
-                    if k.instructions.is_some() {
-                        self.restreams += 1;
-                    } else {
-                        self.instructions += instructions;
-                    }
-                }
-                SimMode::Replayed => {
-                    self.replays += 1;
-                    self.instructions_replayed += instructions;
-                    self.replay_nanos += nanos;
-                    // With a persistent store, a key's *first* delivery
-                    // can be a replay (artifact reloaded from disk).
-                    if k.instructions.is_none() {
-                        self.instructions += instructions;
-                    }
-                }
-                SimMode::DiskServed => unreachable!("disk-served keys never stream"),
-            }
-            self.sim_nanos += nanos;
-            self.simulations.push(SimRecord {
-                fingerprint: format!("{:016x}", k.fingerprint),
-                seed: k.seed,
-                configs: (k.configs.len() - k.simulated) as u64,
-                sinks: sinks.len() as u64,
-                instructions,
-                nanos,
-                mode,
-            });
-            if let Some(buf) = captured {
-                let bytes = buf.bytes();
-                if self.artifact_bytes + bytes <= self.artifact_budget {
-                    self.artifact_bytes += bytes;
-                    k.artifact = Some(buf);
-                }
-            }
-            let first_new = k.simulated;
-            k.stats.extend(bank.take_stats());
-            k.simulated = k.configs.len();
-            for (slot, sink) in k.sinks[k.streamed_sinks..].iter_mut().zip(sinks) {
-                *slot = Some(sink);
-            }
-            k.streamed_sinks = k.sinks.len();
-            k.instructions = Some(instructions);
-            // Write-through: persist this round's finished results and
-            // the key's artifact. Best-effort — a full or read-only
-            // store disk degrades to cold behavior, never to an error.
-            if let (Some(store), Some(cid)) = (&store, &k.cid) {
-                for (config, stats) in k.configs[first_new..].iter().zip(&k.stats[first_new..]) {
-                    let _ = store.put(
-                        &persist::result_cid(cid, config),
-                        &persist::encode_result(stats, instructions),
-                    );
-                }
-                if let Some(buf) = &k.artifact {
-                    let acid = persist::artifact_cid(cid);
-                    if !store.contains(&acid) {
-                        let _ = store.put(&acid, &persist::encode_artifact(buf));
-                    }
-                }
-            }
+        let store = self.store.as_deref();
+        let done = impact_support::parallel_map(self.jobs, work, |(w, program, placement)| {
+            deliver(w, program, placement, store)
+        });
+        for d in done {
+            self.file(d);
         }
         self.wall_nanos += wall.elapsed().as_nanos() as u64;
+    }
+
+    /// Takes key `i`'s pending demands out of the session.
+    fn take(&mut self, i: usize) -> Work {
+        let room = self.artifact_bytes < self.artifact_budget;
+        let k = &mut self.keys[i];
+        Work {
+            key: i,
+            seed: k.seed,
+            limits: k.limits,
+            cid: k.cid,
+            configs: k.configs[k.simulated..].to_vec(),
+            sinks: k.sinks[k.streamed_sinks..]
+                .iter_mut()
+                .map(|s| s.take().expect("pending sinks cannot have been taken"))
+                .collect(),
+            instructions: k.instructions,
+            artifact: k.artifact.clone(),
+            // The precise size check happens at filing time; this avoids
+            // recording buffers that could never be stored.
+            capture: k.artifact.is_none() && room,
+        }
+    }
+
+    /// Files one delivery's results, sinks, artifact and counters back
+    /// into its key.
+    fn file(&mut self, done: Delivered) {
+        let Delivered {
+            key,
+            stats,
+            sinks,
+            instructions,
+            nanos,
+            mode,
+            artifact,
+            loaded,
+        } = done;
+        let k = &mut self.keys[key];
+        let first_delivery = k.instructions.is_none();
+        match mode {
+            SimMode::Interpreted => {
+                self.traces_streamed += 1;
+                self.instructions_interpreted += instructions;
+                self.interp_nanos += nanos;
+                if !first_delivery {
+                    self.restreams += 1;
+                }
+            }
+            SimMode::Replayed => {
+                self.replays += 1;
+                self.instructions_replayed += instructions;
+                self.replay_nanos += nanos;
+            }
+            SimMode::DiskServed => {
+                self.disk_served += 1;
+                self.instructions_disk_served += instructions;
+                self.disk_nanos += nanos;
+            }
+        }
+        // With a persistent store, a key's *first* delivery can be a
+        // replay (artifact reloaded from disk) or a disk serve.
+        if first_delivery {
+            self.instructions += instructions;
+        }
+        if mode != SimMode::DiskServed {
+            self.sim_nanos += nanos;
+        }
+        self.artifacts_loaded += u64::from(loaded);
+        self.simulations.push(SimRecord {
+            fingerprint: format!("{:016x}", k.fingerprint),
+            seed: k.seed,
+            configs: stats.len() as u64,
+            sinks: sinks.len() as u64,
+            instructions,
+            nanos,
+            mode,
+        });
+        if let Some(buf) = artifact {
+            let bytes = buf.bytes();
+            if k.artifact.is_none() && self.artifact_bytes + bytes <= self.artifact_budget {
+                self.artifact_bytes += bytes;
+                k.artifact = Some(buf);
+            }
+        }
+        k.simulated += stats.len();
+        k.stats.extend(stats);
+        let streamed = sinks.len();
+        for (slot, sink) in k.sinks[k.streamed_sinks..].iter_mut().zip(sinks) {
+            *slot = Some(sink);
+        }
+        k.streamed_sinks += streamed;
+        k.instructions = Some(instructions);
     }
 
     /// Statistics for a request, in its requested config order.
@@ -1064,6 +1076,7 @@ impl SimSession {
             interp_nanos: self.interp_nanos,
             replay_nanos: self.replay_nanos,
             wall_nanos: self.wall_nanos,
+            inflight_waits: self.inflight_waits,
             artifacts_stored: self.keys.iter().filter(|k| k.artifact.is_some()).count() as u64,
             artifact_bytes: self.artifact_bytes as u64,
             disk_served: self.disk_served,
@@ -1079,77 +1092,174 @@ impl SimSession {
     }
 }
 
-/// What a successful disk serve delivered.
-struct DiskServe {
-    /// Config results filled from the store this round.
-    configs: u64,
-    /// The key's trace length, as recorded with the stored results.
-    instructions: u64,
-    /// Whether this was the key's first delivery (its trace length was
-    /// unknown before — the "unique instructions" accounting trigger).
-    first_delivery: bool,
+/// Delivers one key's pending work, touching no session state: from the
+/// store when every pending result is on disk, else by replaying an
+/// artifact (in memory, or reloaded from the store) or by walking the
+/// interpreter under a capture tee. New results and artifacts are then
+/// written through to the store — best-effort: a full or read-only store
+/// disk degrades to cold behavior, never to an error.
+fn deliver(
+    work: Work,
+    program: &Program,
+    placement: &Placement,
+    store: Option<&Store>,
+) -> Delivered {
+    let Work {
+        key,
+        seed,
+        limits,
+        cid,
+        configs,
+        mut sinks,
+        instructions: known,
+        mut artifact,
+        capture,
+    } = work;
+    let store = store.zip(cid.as_ref());
+    let mut loaded = false;
+    if let Some((store, cid)) = store {
+        let t0 = Instant::now();
+        // Sinks observe the raw stream, which result entries do not carry.
+        if sinks.is_empty() {
+            if let Some((stats, instructions)) = disk_load(store, cid, &configs, known) {
+                return Delivered {
+                    key,
+                    stats,
+                    sinks,
+                    instructions,
+                    nanos: t0.elapsed().as_nanos() as u64,
+                    mode: SimMode::DiskServed,
+                    artifact: None,
+                    loaded: false,
+                };
+            }
+        }
+        if artifact.is_none() && capture {
+            artifact = store
+                .get(&persist::artifact_cid(cid))
+                .and_then(|payload| persist::decode_artifact(&payload))
+                .map(Arc::new);
+            loaded = artifact.is_some();
+        }
+    }
+
+    let t0 = Instant::now();
+    let mut bank = MultiLane::new(configs.iter().copied());
+    let mut fan = Fanout {
+        bank: &mut bank,
+        sinks: &mut sinks,
+    };
+    let (instructions, captured, mode) = match &artifact {
+        Some(buf) => {
+            buf.replay(&mut fan);
+            (buf.instructions(), None, SimMode::Replayed)
+        }
+        None if capture => {
+            let gen = TraceGenerator::new(program, placement).with_limits(limits);
+            let mut buf = RunBuffer::new();
+            let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, &mut fan));
+            buf.shrink_to_fit();
+            (
+                summary.instructions,
+                Some(Arc::new(buf)),
+                SimMode::Interpreted,
+            )
+        }
+        None => {
+            let gen = TraceGenerator::new(program, placement).with_limits(limits);
+            let summary = gen.stream(seed, &mut fan);
+            (summary.instructions, None, SimMode::Interpreted)
+        }
+    };
+    let nanos = t0.elapsed().as_nanos() as u64;
+    let stats = bank.take_stats();
+
+    if let Some((store, cid)) = store {
+        for (config, stats) in configs.iter().zip(&stats) {
+            let _ = store.put(
+                &persist::result_cid(cid, config),
+                &persist::encode_result(stats, instructions),
+            );
+        }
+        // The artifact this stream captured or replayed, unless it just
+        // came from the store.
+        if let Some(buf) = captured.as_ref().or(artifact.as_ref()).filter(|_| !loaded) {
+            let acid = persist::artifact_cid(cid);
+            if !store.contains(&acid) {
+                let _ = store.put(&acid, &persist::encode_artifact(buf));
+            }
+        }
+    }
+    Delivered {
+        key,
+        stats,
+        sinks,
+        instructions,
+        nanos,
+        mode,
+        artifact: if loaded { artifact } else { captured },
+        loaded,
+    }
 }
 
-/// Attempts to answer every pending demand of `k` from the store,
-/// filling its stats in place. Succeeds only when *all* pending configs
-/// decode from verified entries and no sink is pending (sinks observe
-/// the raw stream, which the result entries do not carry). On any miss
-/// the key is left untouched and streams normally.
-fn disk_serve(store: &Store, k: &mut KeyEntry) -> Option<DiskServe> {
-    if k.streamed_sinks < k.sinks.len() {
+/// Loads every result of `configs` over trace `cid` from the store, with
+/// the trace length they were recorded under (which must agree with
+/// `known`, the length an earlier delivery learned). `None` on any miss
+/// or undecodable entry, when results disagree on the trace length (a
+/// foreign or stale entry), and for an empty `configs`: a key pending
+/// only for its trace length streams, reloading its artifact.
+fn disk_load(
+    store: &Store,
+    cid: &Cid,
+    configs: &[CacheConfig],
+    known: Option<u64>,
+) -> Option<(Vec<CacheStats>, u64)> {
+    if configs.is_empty() {
         return None;
     }
-    let cid = k.cid.as_ref()?;
-    let pending = &k.configs[k.simulated..];
-    if pending.is_empty() {
-        // Pending only for its trace length (an empty-config request in
-        // a fresh process): the artifact-reload path handles it.
-        return None;
-    }
-    let first_delivery = k.instructions.is_none();
-    let mut instructions = k.instructions;
-    let mut loaded = Vec::with_capacity(pending.len());
-    for config in pending {
+    let mut instructions = known;
+    let mut loaded = Vec::with_capacity(configs.len());
+    for config in configs {
         let payload = store.get(&persist::result_cid(cid, config))?;
         let (stats, instrs) = persist::decode_result(&payload)?;
-        // Every result of one trace must agree on the trace length; a
-        // disagreement means a foreign or stale entry — don't serve it.
         if *instructions.get_or_insert(instrs) != instrs {
             return None;
         }
         loaded.push(stats);
     }
-    let configs = loaded.len() as u64;
-    k.stats.extend(loaded);
-    k.simulated = k.configs.len();
-    k.instructions = instructions;
-    Some(DiskServe {
-        configs,
-        instructions: instructions.expect("at least one result decoded"),
-        first_delivery,
-    })
+    Some((loaded, instructions?))
 }
 
-/// A [`SimSession`] behind interior locking, shareable across threads.
+/// A [`SimSession`] shareable across threads, with per-key single-flight.
 ///
 /// The table runners own their session and drive the plan / execute /
 /// serve phases explicitly; a long-lived service (`impact serve`) instead
 /// wants one engine that many request-handler threads hit concurrently.
-/// `SharedSimSession` wraps the session in a [`Mutex`](std::sync::Mutex)
-/// and exposes the one-shot [`evaluate`](SharedSimSession::evaluate)
-/// cycle: request → execute → serve under a single lock hold.
+/// `SharedSimSession` exposes the one-shot
+/// [`evaluate`](SharedSimSession::evaluate) cycle: request → deliver →
+/// serve.
 ///
-/// Memoization carries across calls — and across threads — because every
-/// evaluation is interned in the same underlying session: a repeated
-/// `(program, placement, seed, limits, config)` demand is served from the
-/// memo without re-streaming its trace ([`SimSession::execute`] returns
-/// immediately when nothing is pending). Holding the lock for the whole
-/// cycle serializes trace streaming, which is deliberate: the engine's
-/// own worker fan-out ([`SimSession::with_jobs`]) parallelizes *inside*
-/// an evaluation, and callers above it (HTTP workers) parallelize
-/// parsing, placement, and rendering outside the lock.
+/// The lock guards only bookkeeping: interning, the config union, and
+/// filing results. The key's fingerprint and persistent key are computed
+/// before locking, and the delivery itself (disk serve, artifact replay
+/// or interpreter walk, then the store writes) runs unlocked, so
+/// evaluations of distinct keys proceed in parallel. A key being
+/// delivered is marked in flight: an evaluation of the same key waits on
+/// a [`Condvar`] for that delivery's results instead of walking the trace
+/// again, and if its own configs were not part of that delivery it then
+/// delivers them itself.
+///
+/// Memoization carries across calls and threads because every evaluation
+/// is interned in the same underlying session: a repeated
+/// `(program, placement, seed, limits, config)` demand is served from
+/// the memo without streaming its trace.
 pub struct SharedSimSession {
-    inner: std::sync::Mutex<SimSession>,
+    inner: Mutex<SimSession>,
+    /// Notified whenever a key's in-flight mark clears.
+    cleared: Condvar,
+    /// The session's store, reachable without the lock: it decides
+    /// whether an evaluation computes its persistent key.
+    store: Option<Arc<Store>>,
 }
 
 impl std::fmt::Debug for SharedSimSession {
@@ -1158,11 +1268,17 @@ impl std::fmt::Debug for SharedSimSession {
     }
 }
 
+impl Default for SharedSimSession {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SharedSimSession {
-    /// Wraps a fresh session that executes with up to `jobs` workers.
+    /// Wraps a fresh session without a store.
     #[must_use]
-    pub fn with_jobs(jobs: usize) -> Self {
-        Self::from_session(SimSession::with_jobs(jobs))
+    pub fn new() -> Self {
+        Self::from_session(SimSession::new())
     }
 
     /// Wraps an already-configured session (artifact budget, persistent
@@ -1170,14 +1286,17 @@ impl SharedSimSession {
     #[must_use]
     pub fn from_session(session: SimSession) -> Self {
         Self {
-            inner: std::sync::Mutex::new(session),
+            store: session.store.clone(),
+            inner: Mutex::new(session),
+            cleared: Condvar::new(),
         }
     }
 
     /// Statistics for `configs` over the evaluation trace of
     /// `(program, placement)` under `seed` and `limits`, plus the trace
-    /// length — the locked counterpart of `sim::simulate_counted`,
-    /// memo-served whenever this session has already streamed the key.
+    /// length — the shared counterpart of `sim::simulate_counted`,
+    /// memo-served whenever this session has already delivered the key,
+    /// and coalesced onto the running delivery when one is in flight.
     #[must_use]
     pub fn evaluate(
         &self,
@@ -1187,9 +1306,50 @@ impl SharedSimSession {
         limits: ExecLimits,
         configs: &[CacheConfig],
     ) -> (Vec<CacheStats>, u64) {
+        let fp = fingerprint(program, placement, seed, limits);
+        let cid = self
+            .store
+            .is_some()
+            .then(|| persist::trace_key(program, placement, seed, limits));
         let mut s = self.lock();
-        let handle = s.request(program, placement, seed, limits, configs);
-        s.execute();
+        let key = s.intern_keyed(program, placement, seed, limits, fp, || {
+            cid.expect("computed whenever a store is attached")
+        });
+        let handle = s.demand(key, configs);
+        let mut waited = false;
+        loop {
+            let k = &s.keys[key];
+            if k.serves(&handle) {
+                return s.counted(&handle);
+            }
+            if !k.in_flight {
+                break;
+            }
+            if !waited {
+                s.inflight_waits += 1;
+                waited = true;
+            }
+            s = self.cleared.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+
+        let wall = Instant::now();
+        let work = s.take(key);
+        s.keys[key].in_flight = true;
+        drop(s);
+        // The caller's program and placement equal the interned key's,
+        // so the delivery borrows them instead of the locked entry.
+        let mut mark = InFlight {
+            shared: self,
+            key,
+            armed: true,
+        };
+        let done = deliver(work, program, placement, self.store.as_deref());
+        let mut s = self.lock();
+        s.file(done);
+        s.keys[key].in_flight = false;
+        mark.armed = false;
+        s.wall_nanos += wall.elapsed().as_nanos() as u64;
+        self.cleared.notify_all();
         s.counted(&handle)
     }
 
@@ -1199,19 +1359,30 @@ impl SharedSimSession {
         self.lock().metrics()
     }
 
-    /// Runs `f` with the locked session (for callers that need the full
-    /// plan / execute / serve API, e.g. to attach sinks).
-    pub fn with_session<R>(&self, f: impl FnOnce(&mut SimSession) -> R) -> R {
-        f(&mut self.lock())
+    fn lock(&self) -> MutexGuard<'_, SimSession> {
+        // Deliveries, the only work sized by the request, run unlocked;
+        // under the lock only bookkeeping runs, and a panic there is a
+        // bug. Recover from the poison rather than wedging the service.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SimSession> {
-        // A panic while streaming poisons the lock; the session's own
-        // state stays coherent (results are filed serially after the
-        // parallel phase), so recover rather than wedging the service.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// A key's in-flight mark while its delivery runs unlocked. If the
+/// delivery unwinds before its results are filed, dropping the armed
+/// mark clears it and wakes the key's waiters, so they retry instead of
+/// waiting forever.
+struct InFlight<'a> {
+    shared: &'a SharedSimSession,
+    key: usize,
+    armed: bool,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.shared.lock().keys[self.key].in_flight = false;
+            self.shared.cleared.notify_all();
+        }
     }
 }
 
@@ -1468,7 +1639,7 @@ mod tests {
         let cfg = [CacheConfig::direct_mapped(2048, 64)];
         let direct = sim::simulate_counted(&w.program, &placement, 7, LIMITS, &cfg);
 
-        let shared = SharedSimSession::with_jobs(1);
+        let shared = SharedSimSession::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -1484,6 +1655,46 @@ mod tests {
         assert_eq!(m.unique_traces, 1);
         assert_eq!(m.requests, 12);
         assert_eq!(m.memo_served, 11);
+    }
+
+    /// A delivery that panics outside the lock must not leave its key
+    /// marked in flight: the next evaluation of the key retries (and
+    /// here panics again) instead of waiting forever.
+    #[test]
+    fn a_panicking_delivery_clears_its_in_flight_mark() {
+        let w = impact_workloads::by_name("cmp").unwrap();
+        let natural = baseline::natural(&w.program);
+        let mut addrs: Vec<Vec<u64>> = w
+            .program
+            .functions()
+            .map(|(fid, func)| func.block_ids().map(|bid| natural.addr(fid, bid)).collect())
+            .collect();
+        // The walk's first fetch hits an unplaced block and panics.
+        let main = w.program.entry();
+        addrs[main.index()][w.program.function(main).entry().index()] = u64::MAX;
+        let broken = Placement::from_raw(
+            addrs,
+            natural.func_order().to_vec(),
+            natural.effective_bytes(),
+            natural.total_bytes(),
+        );
+        let cfg = [CacheConfig::direct_mapped(2048, 64)];
+        let shared = SharedSimSession::new();
+        let attempt = || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                shared.evaluate(&w.program, &broken, 3, LIMITS, &cfg)
+            }))
+        };
+        assert!(attempt().is_err());
+        assert!(attempt().is_err(), "the retry walks again");
+        let m = shared.metrics();
+        assert_eq!(m.inflight_waits, 0);
+        assert_eq!(m.unique_traces, 1);
+        // The session keeps serving other keys.
+        assert_eq!(
+            shared.evaluate(&w.program, &natural, 3, LIMITS, &cfg),
+            sim::simulate_counted(&w.program, &natural, 3, LIMITS, &cfg)
+        );
     }
 
     /// A unique store directory removed on drop.

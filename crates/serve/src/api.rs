@@ -57,20 +57,25 @@ pub struct AppState {
     pub shard: Option<ShardRouter>,
 }
 
+impl Default for AppState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AppState {
-    /// Fresh state whose evaluation engine streams with `sim_jobs`
-    /// worker threads per evaluation; default response-memo budget.
+    /// Fresh state without a store; default response-memo budget.
     #[must_use]
-    pub fn new(sim_jobs: usize) -> Self {
-        Self::with_cache(sim_jobs, crate::rcache::DEFAULT_CACHE_BYTES)
+    pub fn new() -> Self {
+        Self::with_cache(crate::rcache::DEFAULT_CACHE_BYTES)
     }
 
     /// Like [`AppState::new`] with an explicit response-memo byte
     /// budget (`0` disables the memo).
     #[must_use]
-    pub fn with_cache(sim_jobs: usize, response_cache_bytes: usize) -> Self {
+    pub fn with_cache(response_cache_bytes: usize) -> Self {
         Self {
-            session: SharedSimSession::with_jobs(sim_jobs),
+            session: SharedSimSession::new(),
             metrics: Metrics::new(),
             rcache: ResponseCache::new(response_cache_bytes),
             shard: None,
@@ -87,7 +92,7 @@ impl AppState {
     /// underlying I/O error; `peers` without a matching `advertise`
     /// entry (or vice versa) is `InvalidInput`.
     pub fn from_config(config: &ServeConfig) -> std::io::Result<Self> {
-        let mut session = SimSession::with_jobs(config.sim_jobs);
+        let mut session = SimSession::new();
         if let Some(bytes) = config.artifact_budget {
             session = session.with_artifact_budget(bytes);
         }
@@ -739,7 +744,7 @@ mod tests {
 
     #[test]
     fn unknown_routes_and_methods() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let (ep, resp) = route(&state, &get("/nope"));
         assert_eq!(ep, Endpoint::Other);
         assert_eq!(resp.status, 404);
@@ -755,7 +760,7 @@ mod tests {
 
     #[test]
     fn bad_bodies_are_rejected_with_positions() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let (_, resp) = route(&state, &post("/v1/lint", "{\n  broken"));
         assert_eq!(resp.status, 400);
         let msg = body_json(&resp);
@@ -777,7 +782,7 @@ mod tests {
 
     #[test]
     fn invalid_cache_configs_are_rejected() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let body = format!(
             r#"{{"program": {}, "configs": [{{"size": 3}}]}}"#,
             Json::Str(program_text()),
@@ -789,7 +794,7 @@ mod tests {
 
     #[test]
     fn simulate_matches_direct_evaluation_and_memoizes() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let text = program_text();
         let body = format!(
             r#"{{"program": {}, "seed": 7, "max_instrs": 40000,
@@ -838,7 +843,7 @@ mod tests {
 
     #[test]
     fn lint_matches_the_cli_document() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let text = program_text();
         let body = format!(
             r#"{{"program": {}, "name": "cmp", "runs": 2, "max_instrs": 60000}}"#,
@@ -866,7 +871,7 @@ mod tests {
 
     #[test]
     fn lint_deny_warnings_flips_status_not_body() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         // wc carries known IPA005 warnings, so deny_warnings must bite.
         let text = impact_asm::print_program(&impact_workloads::by_name("wc").unwrap().program);
         let plain = format!(
@@ -893,7 +898,7 @@ mod tests {
 
     #[test]
     fn analyze_matches_the_cli_document() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let text = program_text();
         let body = format!(
             r#"{{"program": {}, "name": "cmp", "cache": 1024, "block": 32}}"#,
@@ -934,7 +939,7 @@ mod tests {
 
     #[test]
     fn advise_matches_the_cli_document() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let text = program_text();
         let body = format!(
             r#"{{"program": {}, "name": "cmp", "cache": 1024, "block": 32}}"#,
@@ -993,7 +998,7 @@ mod tests {
 
     #[test]
     fn analyze_echoes_the_schema_version() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let body = format!(
             r#"{{"program": {}, "name": "cmp"}}"#,
             Json::Str(program_text()),
@@ -1009,7 +1014,7 @@ mod tests {
 
     #[test]
     fn layout_reports_placement_and_quality() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let body = format!(
             r#"{{"program": {}, "runs": 2, "max_instrs": 60000}}"#,
             Json::Str(program_text()),
@@ -1029,7 +1034,7 @@ mod tests {
 
     #[test]
     fn optimized_simulate_layout_is_accepted() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         let body = format!(
             r#"{{"program": {}, "layout": "optimized", "runs": 2, "seed": 3,
                 "max_instrs": 40000, "configs": [{{"size": 1024}}]}}"#,
@@ -1043,13 +1048,15 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_reflects_traffic() {
-        let state = AppState::new(1);
+        let state = AppState::new();
         state.metrics.record(Endpoint::Simulate, 200, 10);
         let (_, resp) = route(&state, &get("/metrics"));
         assert_eq!(resp.status, 200);
         let doc = body_json(&resp);
         assert_eq!(doc.get("requests_total").and_then(Json::as_u64), Some(1));
         assert!(doc.get("sim").unwrap().get("memo_hit_rate").is_some());
+        let waits = doc.get("sim").unwrap().get("inflight_waits");
+        assert_eq!(waits.and_then(Json::as_u64), Some(0));
         let rc = doc.get("response_cache").unwrap();
         assert!(rc.get("hits").and_then(Json::as_u64).is_some());
         assert!(rc.get("budget_bytes").and_then(Json::as_u64).is_some());

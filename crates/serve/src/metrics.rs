@@ -245,6 +245,10 @@ impl Metrics {
             ("replays".to_string(), session.replays.to_json()),
             ("memo_key_hits".to_string(), session.memo_key_hits.to_json()),
             (
+                "inflight_waits".to_string(),
+                session.inflight_waits.to_json(),
+            ),
+            (
                 "configs_requested".to_string(),
                 session.configs_requested.to_json(),
             ),

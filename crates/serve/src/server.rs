@@ -57,8 +57,6 @@ pub struct ServeConfig {
     /// Write deadline: how long a client may refuse to drain a pending
     /// response before the reactor evicts the connection.
     pub write_timeout: Duration,
-    /// Streaming threads inside each simulation evaluation.
-    pub sim_jobs: usize,
     /// Byte budget for the serving-layer response memo; `0` disables it.
     pub response_cache_bytes: usize,
     /// Root directory of the persistent content-addressed store; when
@@ -86,7 +84,6 @@ impl Default for ServeConfig {
             queue_cap: 1024,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            sim_jobs: 1,
             response_cache_bytes: DEFAULT_CACHE_BYTES,
             store_dir: None,
             artifact_budget: None,

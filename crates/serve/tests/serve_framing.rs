@@ -173,7 +173,7 @@ fn socket_responses_are_byte_identical_to_direct_route_calls() {
     // Expected bytes come from route() against a fresh state — the
     // handlers are deterministic, so a separate engine instance must
     // produce the same documents the served instance does.
-    let reference = AppState::new(1);
+    let reference = AppState::new();
     let server = default_server();
     let mut client = Client::connect(server.addr()).unwrap();
     for (path, body) in &requests {

@@ -57,7 +57,6 @@
 //!                         for setting both                  (default 10000)
 //!   --read-timeout MS     idle/slow-client read deadline    (default 10000)
 //!   --write-timeout MS    unread-response write deadline    (default 10000)
-//!   --sim-jobs N          streaming threads per evaluation  (default 1)
 //!   --cache-bytes N       response-memo byte budget; 0 off  (default 64 MiB)
 //!   --store DIR           persistent content-addressed result store:
 //!                         finished results are written through, and a
@@ -160,7 +159,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: impact <report|optimize|sim|viz|trace|simtrace|lint|analyze|advise> <file.impact> [options]\n\
          \u{20}      impact serve [--addr A] [--workers N] [--queue N] [--timeout-ms N]\n\
-         \u{20}                   [--read-timeout MS] [--write-timeout MS] [--sim-jobs N] [--cache-bytes N]\n\
+         \u{20}                   [--read-timeout MS] [--write-timeout MS] [--cache-bytes N]\n\
          \u{20}                   [--store DIR] [--artifact-budget N] [--peers A,B,...] [--advertise ADDR]\n\
          \u{20}      impact store <ls|stat|verify|gc> DIR [--max-bytes N] [--json]\n\
          see `src/bin/impact.rs` header for the option list"
@@ -900,13 +899,6 @@ fn serve(rest: Vec<String>) -> ExitCode {
                 Ok(Ok(n)) => config.response_cache_bytes = n,
                 _ => {
                     eprintln!("impact serve: --cache-bytes must be a non-negative integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sim-jobs" => match value("--sim-jobs").map(|v| v.parse()) {
-                Ok(Ok(n)) if n >= 1 => config.sim_jobs = n,
-                _ => {
-                    eprintln!("impact serve: --sim-jobs must be a positive integer");
                     return ExitCode::FAILURE;
                 }
             },
