@@ -453,7 +453,9 @@ fn build(entry_name: &str, entry_line: usize, funcs: &[RawFunc]) -> Result<Progr
                     p,
                     spread,
                 } => {
-                    if !(0.0..=1.0).contains(p) || *spread < 0.0 {
+                    // `BranchBias::varying` asserts these ranges; NaN and
+                    // infinities must fail here, not panic there.
+                    if !((0.0..=1.0).contains(p) && spread.is_finite() && *spread >= 0.0) {
                         return Err(err(
                             tl,
                             ParseErrorKind::BadNumber {
@@ -650,6 +652,28 @@ mod tests {
         let e =
             parse_program("program entry=main\nfn main {\n a:\n  br a a p=1.5\n}\n").unwrap_err();
         assert!(matches!(e.kind, ParseErrorKind::BadNumber { .. }));
+    }
+
+    #[test]
+    fn error_non_finite_branch_probabilities() {
+        for fields in [
+            "p=0.5 spread=NaN",
+            "p=0.5 spread=inf",
+            "p=0.5 spread=-inf",
+            "p=NaN",
+            "p=inf",
+            "p=-inf spread=0.1",
+        ] {
+            let text = format!(
+                "program entry=main\nfn main {{\n a:\n  br a b {fields}\n b:\n  exit\n}}\n"
+            );
+            let e = parse_program(&text).unwrap_err();
+            assert!(
+                matches!(e.kind, ParseErrorKind::BadNumber { .. }),
+                "{fields}: {e}"
+            );
+            assert_eq!(e.line, 4, "{fields}");
+        }
     }
 
     #[test]

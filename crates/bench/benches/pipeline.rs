@@ -25,9 +25,15 @@ fn main() {
 
     let group = Harness::new("pipeline_stages", 500);
 
-    group.bench("profile_8_runs", || {
+    let mean = group.bench("profile_8_runs", || {
         black_box(profiler.profile(black_box(&workload.program)))
     });
+    // The profile walk's own rate: instructions interpreted per second.
+    println!(
+        "  profile_8_runs: {:.1} M instr/s ({} instrs per profile)",
+        profile.totals.instructions as f64 / mean.as_secs_f64() / 1e6,
+        profile.totals.instructions
+    );
 
     let inliner = Inliner::new(config.inline.expect("default config inlines"));
     group.bench("inline_to_fixpoint", || {

@@ -875,19 +875,24 @@ impl SimSession {
         if taken.is_empty() {
             return;
         }
-        // Work items borrow their key's program and placement, never the
-        // (non-`Sync`) sink storage.
-        let work: Vec<_> = taken
-            .into_iter()
+        // Trace generators are built before the fan-out and dropped after
+        // it, both on this thread; workers only borrow them. Freeing them
+        // in the workers instead raised `repro_all`'s peak RSS by a third
+        // (allocator arenas). A walk in a worker allocates only its
+        // threshold vector and call stack.
+        let gens: Vec<Option<TraceGenerator>> = taken
+            .iter()
             .map(|w| {
                 let k = &self.keys[w.key];
-                (w, &k.program, &k.placement)
+                generator(w, &k.program, &k.placement)
             })
             .collect();
+        let work: Vec<_> = taken.into_iter().zip(&gens).collect();
         let store = self.store.as_deref();
-        let done = impact_support::parallel_map(self.jobs, work, |(w, program, placement)| {
-            deliver(w, program, placement, store)
+        let done = impact_support::parallel_map(self.jobs, work, |(w, gen)| {
+            deliver(w, gen.as_ref(), store)
         });
+        drop(gens);
         for d in done {
             self.file(d);
         }
@@ -1092,22 +1097,25 @@ impl SimSession {
     }
 }
 
+/// The trace generator `work` may walk: `None` when the key replays an
+/// in-memory artifact, which a delivery never walks past.
+fn generator(work: &Work, program: &Program, placement: &Placement) -> Option<TraceGenerator> {
+    work.artifact
+        .is_none()
+        .then(|| TraceGenerator::new(program, placement).with_limits(work.limits))
+}
+
 /// Delivers one key's pending work, touching no session state: from the
 /// store when every pending result is on disk, else by replaying an
-/// artifact (in memory, or reloaded from the store) or by walking the
-/// interpreter under a capture tee. New results and artifacts are then
-/// written through to the store — best-effort: a full or read-only store
-/// disk degrades to cold behavior, never to an error.
-fn deliver(
-    work: Work,
-    program: &Program,
-    placement: &Placement,
-    store: Option<&Store>,
-) -> Delivered {
+/// artifact (in memory, or reloaded from the store) or by walking `gen`
+/// under a capture tee. New results and artifacts are then written
+/// through to the store — best-effort: a full or read-only store disk
+/// degrades to cold behavior, never to an error.
+fn deliver(work: Work, gen: Option<&TraceGenerator>, store: Option<&Store>) -> Delivered {
     let Work {
         key,
         seed,
-        limits,
+        limits: _,
         cid,
         configs,
         mut sinks,
@@ -1155,7 +1163,7 @@ fn deliver(
             (buf.instructions(), None, SimMode::Replayed)
         }
         None if capture => {
-            let gen = TraceGenerator::new(program, placement).with_limits(limits);
+            let gen = gen.expect("a key without an artifact has a generator");
             let mut buf = RunBuffer::new();
             let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, &mut fan));
             buf.shrink_to_fit();
@@ -1166,7 +1174,7 @@ fn deliver(
             )
         }
         None => {
-            let gen = TraceGenerator::new(program, placement).with_limits(limits);
+            let gen = gen.expect("a key without an artifact has a generator");
             let summary = gen.stream(seed, &mut fan);
             (summary.instructions, None, SimMode::Interpreted)
         }
@@ -1337,13 +1345,14 @@ impl SharedSimSession {
         s.keys[key].in_flight = true;
         drop(s);
         // The caller's program and placement equal the interned key's,
-        // so the delivery borrows them instead of the locked entry.
+        // so the generator lowers them instead of the locked entry.
         let mut mark = InFlight {
             shared: self,
             key,
             armed: true,
         };
-        let done = deliver(work, program, placement, self.store.as_deref());
+        let gen = generator(&work, program, placement);
+        let done = deliver(work, gen.as_ref(), self.store.as_deref());
         let mut s = self.lock();
         s.file(done);
         s.keys[key].in_flight = false;

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use impact_ir::{BlockId, FuncId, Program};
+use impact_ir::{BlockId, FuncId, Program, Terminator};
 
 use crate::walk::{ExecLimits, ExecSummary, ExecVisitor, Transfer, TransferKind, Walker};
 
@@ -174,58 +174,118 @@ impl Profile {
     }
 }
 
-/// Visitor that accumulates a [`Profile`] during a walk.
-struct ProfileVisitor<'a> {
-    profile: &'a mut Profile,
-    /// Shadow call stack of `(caller, calling block)` so that the
-    /// call-continuation arc is recorded only when the callee returns.
-    stack: Vec<(FuncId, BlockId)>,
+/// Dense execution counters of one [`Profiler::profile`] call, indexed by
+/// global block id and out-arm slot; folded into a [`Profile`] once, after
+/// the last run.
+struct Counters {
+    /// First out-arm slot of each block: a jump has one arm, a branch two
+    /// (taken, not taken), a switch one per arm, anything else none.
+    arm_base: Vec<u32>,
+    /// Executions per block.
+    blocks: Vec<u64>,
+    /// Firings per out-arm slot.
+    arms: Vec<u64>,
+    /// Calls made per call block.
+    calls: Vec<u64>,
+    /// Completed calls per call block: the arc to its continuation.
+    returns: Vec<u64>,
+    /// Shadow call stack of calling blocks, so that the continuation arc
+    /// is recorded only when the callee returns.
+    stack: Vec<u32>,
 }
 
-impl ExecVisitor for ProfileVisitor<'_> {
-    fn block(&mut self, func: FuncId, block: BlockId) {
-        self.profile.funcs[func.index()].block_counts[block.index()] += 1;
+impl Counters {
+    fn new(program: &Program) -> Self {
+        let mut arm_base = Vec::new();
+        let mut slots = 0u32;
+        for (_, f) in program.functions() {
+            for (_, bb) in f.blocks() {
+                arm_base.push(slots);
+                slots += match bb.terminator() {
+                    Terminator::Jump { .. } => 1,
+                    Terminator::Branch { .. } => 2,
+                    Terminator::Switch { targets } => targets.len() as u32,
+                    _ => 0,
+                };
+            }
+        }
+        let n = arm_base.len();
+        Self {
+            arm_base,
+            blocks: vec![0; n],
+            arms: vec![0; slots as usize],
+            calls: vec![0; n],
+            returns: vec![0; n],
+            stack: Vec::new(),
+        }
+    }
+
+    /// Adds the counts into `profile`, inserting only non-zero arcs, so
+    /// the maps hold exactly the transfers some run made.
+    fn fold_into(&self, program: &Program, profile: &mut Profile) {
+        fn add(arcs: &mut BTreeMap<(BlockId, BlockId), u64>, arc: (BlockId, BlockId), w: u64) {
+            if w > 0 {
+                *arcs.entry(arc).or_insert(0) += w;
+            }
+        }
+        let mut g = 0;
+        for (fid, f) in program.functions() {
+            for (bid, bb) in f.blocks() {
+                let (arm, fp) = (self.arm_base[g] as usize, &mut profile.funcs[fid.index()]);
+                fp.block_counts[bid.index()] += self.blocks[g];
+                match bb.terminator() {
+                    Terminator::Jump { target } => {
+                        add(&mut fp.arcs, (bid, *target), self.arms[arm])
+                    }
+                    Terminator::Branch {
+                        taken, not_taken, ..
+                    } => {
+                        add(&mut fp.arcs, (bid, *taken), self.arms[arm]);
+                        add(&mut fp.arcs, (bid, *not_taken), self.arms[arm + 1]);
+                    }
+                    Terminator::Switch { targets } => {
+                        for (i, (t, _)) in targets.iter().enumerate() {
+                            add(&mut fp.arcs, (bid, *t), self.arms[arm + i]);
+                        }
+                    }
+                    Terminator::Call { callee, ret_to } => {
+                        add(&mut fp.arcs, (bid, *ret_to), self.returns[g]);
+                        let calls = self.calls[g];
+                        if calls > 0 {
+                            *profile.call_sites.entry((fid, bid)).or_insert(0) += calls;
+                            *profile.call_arcs.entry((fid, *callee)).or_insert(0) += calls;
+                            profile.funcs[callee.index()].invocations += calls;
+                        }
+                    }
+                    Terminator::Return | Terminator::Exit => {}
+                }
+                g += 1;
+            }
+        }
+    }
+}
+
+impl ExecVisitor for Counters {
+    fn block(&mut self, block: u32) {
+        self.blocks[block as usize] += 1;
     }
 
     fn transfer(&mut self, t: Transfer) {
+        let from = t.from as usize;
         match t.kind {
             TransferKind::Call => {
-                let (callee, _) = t.to.expect("call always has a destination");
-                // The continuation block is recovered from the matching
-                // Return transfer; remember who called from where.
-                self.stack.push((t.from_func, t.from_block));
-                *self
-                    .profile
-                    .call_sites
-                    .entry((t.from_func, t.from_block))
-                    .or_insert(0) += 1;
-                *self
-                    .profile
-                    .call_arcs
-                    .entry((t.from_func, callee))
-                    .or_insert(0) += 1;
-                self.profile.funcs[callee.index()].invocations += 1;
+                self.stack.push(t.from);
+                self.calls[from] += 1;
             }
             TransferKind::Return => {
-                if let Some((caller, call_block)) = self.stack.pop() {
-                    if let Some((to_func, to_block)) = t.to {
-                        debug_assert_eq!(caller, to_func);
-                        *self.profile.funcs[caller.index()]
-                            .arcs
-                            .entry((call_block, to_block))
-                            .or_insert(0) += 1;
+                if let Some(call) = self.stack.pop() {
+                    if t.to.is_some() {
+                        self.returns[call as usize] += 1;
                     }
                 }
             }
-            k if k.is_intra_function() => {
-                if let Some((_, to_block)) = t.to {
-                    *self.profile.funcs[t.from_func.index()]
-                        .arcs
-                        .entry((t.from_block, to_block))
-                        .or_insert(0) += 1;
-                }
-            }
-            _ => {}
+            TransferKind::Exit => {}
+            _ => self.arms[self.arm_base[from] as usize + t.arm as usize] += 1,
         }
     }
 }
@@ -313,18 +373,19 @@ impl Profiler {
     }
 
     /// Profiles `program` over the configured seeds.
+    ///
+    /// The program is lowered once and walked once per seed, counting
+    /// into dense per-block counters that become the profile's maps at
+    /// the end.
     #[must_use]
     pub fn profile(&self, program: &Program) -> Profile {
+        let walker = Walker::new(program).with_limits(self.limits);
+        let mut counters = Counters::new(program);
         let mut profile = Profile::empty_for(program);
         for run in 0..self.runs {
             let seed = self.base_seed + u64::from(run);
-            let mut visitor = ProfileVisitor {
-                profile: &mut profile,
-                stack: Vec::new(),
-            };
-            let summary = Walker::new(program)
-                .with_limits(self.limits)
-                .run(seed, &mut visitor);
+            counters.stack.clear();
+            let summary = walker.run(seed, &mut counters);
             profile.funcs[program.entry().index()].invocations += 1;
             profile.runs += 1;
             profile.totals.instructions += summary.instructions;
@@ -334,6 +395,7 @@ impl Profiler {
             profile.totals.returns += summary.returns;
             profile.totals.truncated |= summary.truncated;
         }
+        counters.fold_into(program, &mut profile);
         profile
     }
 }

@@ -215,6 +215,22 @@ fn bad_json_reports_the_position_over_http() {
 }
 
 #[test]
+fn non_finite_branch_spread_is_a_400_not_a_500() {
+    // `spread=NaN` once slipped past the parser's range check and hit an
+    // assertion in the branch model: the request answered 500.
+    let server = start();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let text = "program entry=main\nfn main {\n a:\n  br a b p=0.5 spread=NaN\n b:\n  exit\n}\n";
+    let body = simulate_body(&Json::Str(text.to_string()), 1);
+    let resp = client.post_json("/v1/simulate", &body).unwrap();
+    assert_eq!(resp.status, 400);
+    let doc = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let msg = doc.get("error").and_then(Json::as_str).unwrap();
+    assert!(msg.contains("malformed number"), "{msg}");
+    server.stop();
+}
+
+#[test]
 fn overload_sheds_and_recovery_serves_again() {
     // queue_cap = 0: the reactor sheds every dispatched request.
     let server = Server::start(ServeConfig {

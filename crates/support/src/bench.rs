@@ -27,11 +27,12 @@ impl Harness {
         }
     }
 
-    /// Times `f`, printing mean and best iteration wall time.
+    /// Times `f`, printing mean and best iteration wall time, and returns
+    /// the mean (for callers that derive a rate from it).
     ///
     /// The closure's return value is passed through `std::hint::black_box`
     /// so the work is not optimized away.
-    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
+    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) -> Duration {
         // Warmup: one iteration to touch caches and estimate cost.
         let t0 = Instant::now();
         std::hint::black_box(f());
@@ -59,6 +60,7 @@ impl Harness {
             format_duration(mean),
             format_duration(best),
         );
+        mean
     }
 }
 
@@ -83,11 +85,12 @@ mod tests {
     fn bench_runs_and_reports() {
         let h = Harness::new("test", 1);
         let mut calls = 0u64;
-        h.bench("counting", || {
+        let mean = h.bench("counting", || {
             calls += 1;
             calls
         });
         assert!(calls >= 2, "warmup + at least one measured iteration");
+        assert!(mean < Duration::from_secs(1));
     }
 
     #[test]

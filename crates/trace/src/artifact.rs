@@ -49,7 +49,7 @@ impl RunBuffer {
     /// stream. Returns the buffer and the walk summary; the buffer
     /// covers exactly `summary.instructions` words.
     #[must_use]
-    pub fn capture(gen: &TraceGenerator<'_>, input_seed: u64) -> (Self, ExecSummary) {
+    pub fn capture(gen: &TraceGenerator, input_seed: u64) -> (Self, ExecSummary) {
         let mut buf = Self::new();
         let summary = gen.stream(input_seed, &mut buf);
         (buf, summary)

@@ -44,7 +44,7 @@ pub fn write_record<W: Write>(out: &mut W, label: DinLabel, addr: u64) -> io::Re
 ///
 /// Propagates I/O errors. (The walk itself cannot fail.)
 pub fn write_din<W: Write>(
-    gen: &crate::TraceGenerator<'_>,
+    gen: &crate::TraceGenerator,
     input_seed: u64,
     out: &mut W,
 ) -> io::Result<u64> {

@@ -6,7 +6,7 @@
 //! applied to the cache simulator".
 //!
 //! [`TraceGenerator`] re-runs the same seeded interpreter used for
-//! profiling (`impact_profile::Walker`) over a *placed* program, emitting
+//! profiling ([`impact_profile::Walker`]) over a *placed* program, emitting
 //! the byte address of every instruction fetch. Traces are streamed to a
 //! callback — they are never materialized, so multi-million-access
 //! simulations run in constant memory.
@@ -49,17 +49,27 @@ pub mod din;
 pub use artifact::{CaptureSink, RunBuffer};
 
 use impact_cache::{AccessSink, FnSink};
-use impact_ir::{BlockId, FuncId, Program, BYTES_PER_INSTR};
+use impact_ir::{Program, BYTES_PER_INSTR};
 use impact_layout::Placement;
 use impact_profile::{ExecLimits, ExecSummary, ExecVisitor, Transfer, Walker};
 
 /// Streams the instruction fetch addresses of one program execution.
+///
+/// Construction does all the per-(program, placement) work: it lowers
+/// the program into a [`Walker`] and tabulates every block's base
+/// address and word count by global block id, so a walk indexes one
+/// flat table per dynamic block. A generator is `Sync`: a worker pool
+/// can build its generators up front and lend them to the workers.
 #[derive(Debug)]
-pub struct TraceGenerator<'a> {
-    program: &'a Program,
-    placement: &'a Placement,
-    limits: ExecLimits,
+pub struct TraceGenerator {
+    walker: Walker,
+    /// `(base address, words)` of every block, by global block id; the
+    /// base is [`UNPLACED`] for a block the placement never assigned.
+    blocks: Vec<(u64, u64)>,
 }
+
+/// Base address of a block without one.
+const UNPLACED: u64 = u64::MAX;
 
 /// Visitor coalescing executed blocks into sequential fetch *runs*.
 ///
@@ -70,8 +80,7 @@ pub struct TraceGenerator<'a> {
 /// orders of magnitude fewer calls than per-word emission, with an
 /// identical address stream.
 struct RunEmitter<'a, S> {
-    placement: &'a Placement,
-    program: &'a Program,
+    blocks: &'a [(u64, u64)],
     sink: &'a mut S,
     /// Base address of the pending run (meaningful when `run_words > 0`).
     run_start: u64,
@@ -89,25 +98,23 @@ impl<S: AccessSink> RunEmitter<'_, S> {
 }
 
 impl<S: AccessSink> ExecVisitor for RunEmitter<'_, S> {
-    fn block(&mut self, func: FuncId, block: BlockId) {
-        let base = self.placement.addr(func, block);
-        let instrs = self.program.function(func).block(block).instr_count();
-        if instrs == 0 {
-            return; // empty blocks fetch nothing and break no runs
-        }
+    fn block(&mut self, block: u32) {
+        // `words` is never 0: every block holds its terminator's slot.
+        let (base, words) = self.blocks[block as usize];
+        assert_ne!(base, UNPLACED, "block {block} was never placed");
         if self.run_words > 0 && base == self.run_start + self.run_words * BYTES_PER_INSTR {
-            self.run_words += instrs; // fall-through: extend the run
+            self.run_words += words; // fall-through: extend the run
         } else {
             self.flush();
             self.run_start = base;
-            self.run_words = instrs;
+            self.run_words = words;
         }
     }
 
     fn transfer(&mut self, _t: Transfer) {}
 }
 
-impl<'a> TraceGenerator<'a> {
+impl TraceGenerator {
     /// The conventional evaluation input seed: far outside the default
     /// profiling range (`0..runs`), mirroring the paper's held-out input.
     pub const DEFAULT_EVAL_SEED: u64 = 1_000_003;
@@ -115,18 +122,22 @@ impl<'a> TraceGenerator<'a> {
     /// Creates a generator over `program` laid out by `placement`, with
     /// default execution limits.
     #[must_use]
-    pub fn new(program: &'a Program, placement: &'a Placement) -> Self {
-        Self {
-            program,
-            placement,
-            limits: ExecLimits::default(),
+    pub fn new(program: &Program, placement: &Placement) -> Self {
+        let walker = Walker::new(program);
+        let mut blocks = Vec::with_capacity(walker.block_count());
+        for (fid, f) in program.functions() {
+            for (bid, bb) in f.blocks() {
+                let base = placement.try_addr(fid, bid).unwrap_or(UNPLACED);
+                blocks.push((base, bb.instr_count()));
+            }
         }
+        Self { walker, blocks }
     }
 
     /// Replaces the execution limits.
     #[must_use]
     pub fn with_limits(mut self, limits: ExecLimits) -> Self {
-        self.limits = limits;
+        self.walker = self.walker.with_limits(limits);
         self
     }
 
@@ -147,15 +158,12 @@ impl<'a> TraceGenerator<'a> {
     /// exactly `summary.instructions` words in execution order.
     pub fn stream<S: AccessSink>(&self, input_seed: u64, sink: &mut S) -> ExecSummary {
         let mut visitor = RunEmitter {
-            placement: self.placement,
-            program: self.program,
+            blocks: &self.blocks,
             sink,
             run_start: 0,
             run_words: 0,
         };
-        let summary = Walker::new(self.program)
-            .with_limits(self.limits)
-            .run(input_seed, &mut visitor);
+        let summary = self.walker.run(input_seed, &mut visitor);
         visitor.flush();
         summary
     }
@@ -172,7 +180,7 @@ impl<'a> TraceGenerator<'a> {
 
 #[cfg(test)]
 mod tests {
-    use impact_ir::{BranchBias, ProgramBuilder, Terminator};
+    use impact_ir::{BlockId, BranchBias, ProgramBuilder, Terminator};
     use impact_layout::baseline;
     use impact_layout::pipeline::{Pipeline, PipelineConfig};
 
