@@ -1,9 +1,8 @@
 //! Pass-based static analysis and lints for the IMPACT-I pipeline.
 //!
-//! The reproduction's artifacts — [`Program`](impact_ir::Program)s,
-//! [`Profile`](impact_profile::Profile)s, trace assignments, and
-//! [`Placement`](impact_layout::placement::Placement)s — obey invariants
-//! that the rest of the codebase mostly asserts in tests or not at all.
+//! The reproduction's artifacts — [`Program`]s, [`Profile`]s, trace
+//! assignments, and [`Placement`]s — obey invariants that the rest of
+//! the codebase mostly asserts in tests or not at all.
 //! This crate makes them first-class: each invariant is a [`Pass`] with a
 //! stable diagnostic code, and a [`Registry`] runs passes over a
 //! [`Context`] to produce a [`Report`] renderable as text or JSON.
@@ -108,9 +107,8 @@ pub fn lint_program(program: &Program, profile: Option<&Profile>) -> Report {
 
 /// Verifies a placement against a program, explaining every violation.
 ///
-/// This is the diagnostic replacement for the deprecated bare-bool
-/// `Placement::is_valid_for`: an empty report means the placement covers
-/// the program exactly (every block placed, no overlaps or gaps, aligned).
+/// An empty report means the placement covers the program exactly
+/// (every block placed, no overlaps or gaps, aligned).
 #[must_use]
 pub fn verify_placement(program: &Program, placement: &Placement) -> Report {
     let ctx = Context::program_only(program).with_placement(placement);
@@ -471,18 +469,6 @@ mod tests {
         // The checked run produced the same placement as a plain run.
         let plain = Pipeline::new(PipelineConfig::default()).run(&w.program);
         assert_eq!(result.placement, plain.placement);
-    }
-
-    #[test]
-    fn verify_placement_replaces_is_valid_for() {
-        let w = impact_workloads::by_name("wc").expect("wc exists");
-        let natural = impact_layout::baseline::natural(&w.program);
-        let report = verify_placement(&w.program, &natural);
-        assert!(report.is_clean(), "{}", report.render());
-        #[allow(deprecated)]
-        {
-            assert_eq!(report.is_clean(), natural.is_valid_for(&w.program));
-        }
     }
 
     #[test]

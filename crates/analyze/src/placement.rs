@@ -1,5 +1,5 @@
-//! Placement verifiers (`IPA101`–`IPA105`): the diagnostic-producing
-//! replacement for the old bare-bool `Placement::is_valid_for`.
+//! Placement verifiers (`IPA101`–`IPA105`): each violation of a
+//! placement's coverage, overlap or alignment becomes a diagnostic.
 
 use impact_ir::BYTES_PER_INSTR;
 

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod hierarchy;
 mod lanes;
 mod multi;
 pub mod opt;
@@ -51,7 +50,6 @@ mod timing;
 mod victim;
 
 pub use config::{Associativity, CacheConfig, ConfigError, FillPolicy, Replacement};
-pub use hierarchy::{HierarchyLatency, TwoLevel};
 pub use lanes::MultiLane;
 pub use multi::CacheBank;
 pub use prefetch::NextLinePrefetcher;

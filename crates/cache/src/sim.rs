@@ -171,11 +171,6 @@ impl Cache {
         self.stats.misses
     }
 
-    /// Words fetched so far, without flushing the execution-run tracker.
-    pub(crate) fn raw_words_fetched(&self) -> u64 {
-        self.stats.words_fetched
-    }
-
     /// A digest of the complete replacement-relevant state: every way's
     /// tag, valid bits, and recency stamp, plus the global stamp counter.
     ///

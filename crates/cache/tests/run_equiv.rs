@@ -148,7 +148,7 @@ fn drive_pair<S: AccessSink + Clone>(proto: &S, runs: &[(u64, u64)]) -> (S, S) {
 #[test]
 fn wrapper_sinks_match_scalar_path() {
     use impact_cache::paging::{PageConfig, PagingSim, WorkingSetTracker};
-    use impact_cache::{CacheBank, NextLinePrefetcher, TwoLevel, VictimCache};
+    use impact_cache::{CacheBank, NextLinePrefetcher, VictimCache};
 
     check::forall(48, gen_runs, |runs| {
         let bank = CacheBank::new([
@@ -159,20 +159,6 @@ fn wrapper_sinks_match_scalar_path() {
         ]);
         let (mut s, mut b) = drive_pair(&bank, runs);
         assert_eq!(s.take_stats(), b.take_stats(), "CacheBank diverged");
-
-        for l1_fill in [
-            FillPolicy::FullBlock,
-            FillPolicy::Sectored { sector_bytes: 16 },
-            FillPolicy::Partial,
-        ] {
-            let two = TwoLevel::new(
-                Cache::new(CacheConfig::direct_mapped(512, 64).with_fill(l1_fill)),
-                Cache::new(CacheConfig::direct_mapped(4096, 64)),
-            );
-            let (s, b) = drive_pair(&two, runs);
-            assert_eq!(s.l1_stats(), b.l1_stats(), "TwoLevel L1 ({l1_fill:?})");
-            assert_eq!(s.l2_stats(), b.l2_stats(), "TwoLevel L2 ({l1_fill:?})");
-        }
 
         let pf = NextLinePrefetcher::new(Cache::new(CacheConfig::direct_mapped(1024, 64)));
         let (s, b) = drive_pair(&pf, runs);

@@ -184,40 +184,6 @@ impl Placement {
     pub fn func_order(&self) -> &[FuncId] {
         &self.func_order
     }
-
-    /// Verifies the placement covers `program` exactly: every block
-    /// placed, blocks non-overlapping, and the placed bytes gap-free from
-    /// address 0 to `total_bytes`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "returns a bare bool; use `impact_analyze::verify_placement` \
-                for diagnostics explaining *why* a placement is invalid"
-    )]
-    #[must_use]
-    pub fn is_valid_for(&self, program: &Program) -> bool {
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for (fid, func) in program.functions() {
-            if self.block_addr[fid.index()].len() != func.block_count() {
-                return false;
-            }
-            for (bid, block) in func.blocks() {
-                let a = self.block_addr[fid.index()][bid.index()];
-                if a == u64::MAX {
-                    return false;
-                }
-                spans.push((a, block.size_bytes()));
-            }
-        }
-        spans.sort_unstable();
-        let mut cursor = 0;
-        for (a, len) in spans {
-            if a != cursor {
-                return false;
-            }
-            cursor = a + len;
-        }
-        cursor == self.total_bytes
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,6 @@ use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, Metrics};
 use crate::rcache::ResponseCache;
 use crate::server::ServeConfig;
-use crate::shard::{ShardRouter, FORWARDED_HEADER};
 
 /// Default evaluation input seed (the CLI's `--seed` default).
 pub const DEFAULT_SEED: u64 = 1_000_003;
@@ -53,8 +52,6 @@ pub struct AppState {
     /// Serving-layer response memo consulted by the reactor before
     /// dispatch (exact `(target, body)` bytes → first response).
     pub rcache: ResponseCache,
-    /// Rendezvous router when the node runs in shard mode (`--peers`).
-    pub shard: Option<ShardRouter>,
 }
 
 impl Default for AppState {
@@ -78,19 +75,17 @@ impl AppState {
             session: SharedSimSession::new(),
             metrics: Metrics::new(),
             rcache: ResponseCache::new(response_cache_bytes),
-            shard: None,
         }
     }
 
     /// Full state from a [`ServeConfig`]: opens the persistent store
     /// (when `store_dir` is set) so the session disk-serves repeats and
-    /// writes new results through, and validates the shard membership.
+    /// and writes new results through.
     ///
     /// # Errors
     ///
     /// Store directories that cannot be created/opened surface as the
-    /// underlying I/O error; `peers` without a matching `advertise`
-    /// entry (or vice versa) is `InvalidInput`.
+    /// underlying I/O error.
     pub fn from_config(config: &ServeConfig) -> std::io::Result<Self> {
         let mut session = SimSession::new();
         if let Some(bytes) = config.artifact_budget {
@@ -99,18 +94,10 @@ impl AppState {
         if let Some(dir) = &config.store_dir {
             session = session.with_store(Arc::new(Store::open(dir)?));
         }
-        let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-        let shard = match (config.peers.is_empty(), &config.advertise) {
-            (true, None) => None,
-            (true, Some(_)) => return Err(invalid("advertise set without a peer list")),
-            (false, None) => return Err(invalid("a peer list needs an advertised self address")),
-            (false, Some(advertise)) => Some(ShardRouter::new(config.peers.clone(), advertise)?),
-        };
         Ok(Self {
             session: SharedSimSession::from_session(session),
             metrics: Metrics::new(),
             rcache: ResponseCache::new(config.response_cache_bytes),
-            shard,
         })
     }
 }
@@ -131,28 +118,13 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
     match (req.method.as_str(), req.path()) {
         ("POST", "/v1/lint") => (Endpoint::Lint, lint(req)),
         ("POST", "/v1/layout") => (Endpoint::Layout, layout(req)),
-        ("POST", "/v1/simulate") => {
-            // Shard mode: hand the request to its rendezvous owner.
-            // Marked requests are already on their owner (one hop max).
-            if let Some(shard) = &state.shard {
-                if req.header(FORWARDED_HEADER).is_none() {
-                    if let Some(peer) = shard.owner_of(&req.body) {
-                        return (Endpoint::Simulate, shard.forward(peer, req));
-                    }
-                }
-                shard.note_local();
-            }
-            (Endpoint::Simulate, simulate(state, req))
-        }
+        ("POST", "/v1/simulate") => (Endpoint::Simulate, simulate(state, req)),
         ("POST", "/v1/analyze") => (Endpoint::Analyze, analyze(req)),
         ("POST", "/v1/advise") => (Endpoint::Advise, advise(req)),
         ("GET", "/metrics") => {
             let mut doc = state.metrics.to_json(&state.session.metrics());
             if let Json::Obj(fields) = &mut doc {
                 fields.push(("response_cache".to_string(), state.rcache.to_json()));
-                if let Some(shard) = &state.shard {
-                    fields.push(("shard".to_string(), shard.to_json()));
-                }
             }
             (Endpoint::Metrics, Response::json(200, &doc))
         }
@@ -468,7 +440,7 @@ fn simulate(state: &AppState, req: &Request) -> Response {
 
 /// The `POST /v1/simulate` response document. Public so the integration
 /// tests (and any client) can rebuild the expected bytes from a direct
-/// [`SimSession`](impact_experiments::session::SimSession) evaluation and
+/// [`SimSession`] evaluation and
 /// assert bit-identical service output.
 #[must_use]
 pub fn simulate_response_json(

@@ -37,22 +37,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with the default 10-second I/O timeouts.
+    /// Connects with 10-second read and write timeouts.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::connect_with_timeouts(addr, Duration::from_secs(10), Duration::from_secs(10))
-    }
-
-    /// Connects with explicit read/write timeouts (a zero duration
-    /// disables that timeout).
-    pub fn connect_with_timeouts(
-        addr: SocketAddr,
-        read_timeout: Duration,
-        write_timeout: Duration,
-    ) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        let optional = |d: Duration| (!d.is_zero()).then_some(d);
-        stream.set_read_timeout(optional(read_timeout))?;
-        stream.set_write_timeout(optional(write_timeout))?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        stream.set_write_timeout(Some(Duration::from_secs(10)))?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self {
@@ -75,26 +64,6 @@ impl Client {
             body.len(),
         );
         self.writer.write_all(frame.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// Sends one request with extra headers and a raw byte body (the
-    /// shard proxy path: relay another node's request verbatim).
-    pub fn request_with_headers(
-        &mut self,
-        method: &str,
-        path: &str,
-        extra_headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> io::Result<ClientResponse> {
-        let mut frame = format!("{method} {path} HTTP/1.1\r\nHost: impact-serve\r\n").into_bytes();
-        for (name, value) in extra_headers {
-            frame.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
-        frame.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
-        frame.extend_from_slice(body);
-        self.writer.write_all(&frame)?;
         self.writer.flush()?;
         self.read_response()
     }

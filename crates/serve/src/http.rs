@@ -126,20 +126,32 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
 /// Validates transfer framing and returns the declared body length.
 fn body_length(req: &Request) -> Result<usize, HttpError> {
     if req
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
+        .headers
+        .iter()
+        .any(|(n, v)| n == "transfer-encoding" && !v.eq_ignore_ascii_case("identity"))
     {
         return Err(HttpError::Malformed(
             "transfer-encoding is not supported; send Content-Length".to_string(),
         ));
     }
-    let body_len = match req.header("content-length") {
-        None => 0,
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad Content-Length: {v:?}")))?,
-    };
+    // RFC 9112 §6.3: every Content-Length must be a plain run of digits
+    // (no sign, no list), and repeated fields must agree. Taking only the
+    // first of two conflicting values would frame the rest of the body
+    // as a second, smuggled request.
+    let mut body_len = None;
+    for (_, v) in req.headers.iter().filter(|(n, _)| n == "content-length") {
+        let len = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::Malformed(format!("bad Content-Length: {v:?}"))),
+        };
+        if body_len.is_some_and(|prev| prev != len) {
+            return Err(HttpError::Malformed(
+                "conflicting Content-Length values".to_string(),
+            ));
+        }
+        body_len = Some(len);
+    }
+    let body_len = body_len.unwrap_or(0);
     if body_len > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge("request body"));
     }
@@ -430,11 +442,50 @@ mod tests {
             parse("GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+        assert!(matches!(
+            parse("GET / HTTP/1.1\r\nTransfer-Encoding: identity\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            Err(HttpError::Malformed(_))
+        ));
         // Truncated body surfaces as an I/O error.
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
             Err(HttpError::Io(_))
         ));
+    }
+
+    #[test]
+    fn signed_content_length_is_rejected() {
+        // A sign is not a digit, even though `"+5".parse::<usize>()` is Ok.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"),
+            Err(HttpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 50\r\n\r\nhello"),
+            Err(HttpError::Malformed(_))
+        ));
+        // The later value conflicting is just as bad as the earlier one.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: 50\r\nContent-Length: 5\r\n\r\nhello"),
+            Err(HttpError::Malformed(_))
+        ));
+        // A comma list is not a run of digits either.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello"),
+            Err(HttpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn identical_duplicate_content_lengths_are_accepted() {
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

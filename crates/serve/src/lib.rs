@@ -5,7 +5,7 @@
 //! a dependency-free HTTP/1.1 server (plain `std::net` plus one
 //! `poll(2)` wrapper) built as a readiness-polling reactor. One thread
 //! multiplexes every connection over [`poll`]: nonblocking sockets feed
-//! per-connection state machines ([`conn`]) that frame requests
+//! per-connection state machines (`conn`) that frame requests
 //! incrementally — so HTTP/1.1 pipelining works — and buffer response
 //! writes. Parsed requests go to a fixed worker pool through a bounded
 //! dispatch queue that sheds overload with `503` + `Retry-After`; a
@@ -48,7 +48,6 @@ pub mod poll;
 pub mod rcache;
 pub(crate) mod reactor;
 pub mod server;
-pub mod shard;
 pub mod signal;
 
 pub use api::{simulate_response_json, AppState};
@@ -57,4 +56,3 @@ pub use http::{Request, Response};
 pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_US};
 pub use rcache::ResponseCache;
 pub use server::{ServeConfig, Server};
-pub use shard::{ShardRouter, FORWARDED_HEADER};

@@ -1,7 +1,7 @@
 //! Wire-level framing tests: raw sockets against a real server, probing
 //! exactly the cases the reactor's incremental parser must get right —
-//! pipelining, byte-by-byte arrival, oversized heads, slowloris
-//! eviction — plus byte-identical equivalence between the socket
+//! pipelining, byte-by-byte arrival, oversized heads, conflicting
+//! `Content-Length` fields, slowloris eviction — plus byte-identical equivalence between the socket
 //! surface and direct `route()` calls.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -109,6 +109,31 @@ fn oversized_request_head_is_rejected_with_431() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
+    server.stop();
+}
+
+#[test]
+fn conflicting_content_lengths_are_rejected_without_a_smuggled_request() {
+    let server = default_server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Framed by the first length, "hello" would be the whole body and
+    // the GET behind it a second, smuggled request.
+    let frame = "POST /v1/lint HTTP/1.1\r\nHost: t\r\n\
+                 Content-Length: 5\r\nContent-Length: 50\r\n\r\n\
+                 hello\
+                 GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    stream.write_all(frame.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let (status, body) = read_response(&mut reader).unwrap();
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(String::from_utf8_lossy(&body).contains("Content-Length"));
+    // The server closes after the rejection: nothing answers the GET.
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
     server.stop();
 }
 

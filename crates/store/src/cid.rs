@@ -16,8 +16,9 @@ use crate::sha::{sha256, Sha256};
 pub struct Cid(pub [u8; 32]);
 
 impl Cid {
-    /// Digest of raw bytes (no canonical framing — caller guarantees
-    /// the bytes themselves are canonical, e.g. an HTTP request body).
+    /// Digest of raw bytes, with no canonical framing: the caller
+    /// guarantees the bytes are already canonical (a fixed test key, for
+    /// instance). Structured keys go through [`KeyWriter`].
     #[must_use]
     pub fn of(data: &[u8]) -> Self {
         Cid(sha256(data))

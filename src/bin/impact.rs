@@ -64,10 +64,6 @@
 //!                         /v1/simulate bodies from disk
 //!   --artifact-budget N   in-memory run-buffer artifact byte budget
 //!                         (0 disables capture)
-//!   --peers A,B,...       shard membership (host:port list, this node
-//!                         included); each simulate body is routed to
-//!                         its rendezvous owner, others proxy to it
-//!   --advertise ADDR      this node's own entry in --peers
 //!
 //! store options:
 //!   --max-bytes N     gc: evict oldest entries beyond this footprint
@@ -160,7 +156,7 @@ fn usage() -> ExitCode {
         "usage: impact <report|optimize|sim|viz|trace|simtrace|lint|analyze|advise> <file.impact> [options]\n\
          \u{20}      impact serve [--addr A] [--workers N] [--queue N] [--timeout-ms N]\n\
          \u{20}                   [--read-timeout MS] [--write-timeout MS] [--cache-bytes N]\n\
-         \u{20}                   [--store DIR] [--artifact-budget N] [--peers A,B,...] [--advertise ADDR]\n\
+         \u{20}                   [--store DIR] [--artifact-budget N]\n\
          \u{20}      impact store <ls|stat|verify|gc> DIR [--max-bytes N] [--json]\n\
          see `src/bin/impact.rs` header for the option list"
     );
@@ -913,39 +909,12 @@ fn serve(rest: Vec<String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--peers" => match value("--peers") {
-                Ok(list) => {
-                    config.peers = list
-                        .split(',')
-                        .map(|p| p.trim().to_string())
-                        .filter(|p| !p.is_empty())
-                        .collect();
-                    if config.peers.is_empty() {
-                        eprintln!("impact serve: --peers must name at least one host:port");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(code) => return code,
-            },
-            "--advertise" => match value("--advertise") {
-                Ok(addr) => config.advertise = Some(addr),
-                Err(code) => return code,
-            },
             flag => {
                 eprintln!("impact serve: unknown option {flag}");
                 return usage();
             }
         }
     }
-    if !config.peers.is_empty() && config.advertise.is_none() {
-        eprintln!("impact serve: --peers needs --advertise (this node's own host:port entry)");
-        return ExitCode::FAILURE;
-    }
-    if config.advertise.is_some() && config.peers.is_empty() {
-        eprintln!("impact serve: --advertise only makes sense with --peers");
-        return ExitCode::FAILURE;
-    }
-
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {
